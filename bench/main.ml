@@ -104,8 +104,8 @@ let bench_appver_lp =
 
 let bench_appver_lp_warm =
   (* one split below the root, phase matched to the region centre so the
-     cell stays feasible: the call re-optimises the root's cached basis
-     by dual simplex and reoptimizes the remaining property rows on the
+     cell stays feasible: the call re-optimises the basis on the root's
+     state by dual simplex and reoptimizes the remaining property rows on the
      live tableau instead of solving every row cold (DESIGN.md §13) *)
   let child_gamma =
     let affine = first_problem.Abonn_spec.Problem.affine in

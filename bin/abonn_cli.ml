@@ -95,25 +95,20 @@ let restore_default_handlers () =
   try Sys.set_signal Sys.sigterm Sys.Signal_default
   with Invalid_argument _ | Sys_error _ -> ()
 
+type engine = Abonn | Bab_baseline | Bestfirst | Inputsplit | Ab_crown
+
+let engines =
+  [ ("abonn", Abonn); ("bab-baseline", Bab_baseline); ("bestfirst", Bestfirst);
+    ("inputsplit", Inputsplit); ("ab-crown", Ab_crown) ]
+
+let engine_name e = fst (List.find (fun (_, e') -> e' = e) engines)
+
 (* Run one problem through the selected engine with the requested
    observability and print the verdict block.  Returns the engine
    result; registry bookkeeping is left to the callers (a VNNLIB spec
    appends one joined record for several of these runs). *)
 let verify_core problem engine lambda c heuristic appver calls seconds trace_file
-    progress stats no_cache domains introspect flight_path lp_triage no_lp_warm
-    ~context =
-  let heuristic =
-    match Abonn_bab.Branching.find heuristic with
-    | Some h -> h
-    | None -> Abonn_bab.Branching.default
-  in
-  let appver =
-    if appver = "lp" then Abonn_lp.Lp_verifier.appver
-    else
-      match Abonn_prop.Appver.find appver with
-      | Some v -> v
-      | None -> Abonn_prop.Appver.deeppoly
-  in
+    progress stats no_cache domains introspect flight_path lp_triage ~context =
   (* --lp-triage: cheap DeepPoly bounds on every node, LP only for the
      nodes that survive the escalation criterion (DESIGN.md §13) *)
   let appver =
@@ -123,7 +118,11 @@ let verify_core problem engine lambda c heuristic appver calls seconds trace_fil
         ~expensive:Abonn_lp.Lp_verifier.appver ()
     | None -> appver
   in
-  Abonn_lp.Lp_verifier.set_warm_enabled (not no_lp_warm);
+  (* --no-bound-cache: drop warm-started bounds and LP bases and restore
+     the from-scratch bound path bit-for-bit *)
+  let appver =
+    if no_cache then { appver with Abonn_prop.Appver.warm = None } else appver
+  in
   let budget = Budget.combine ~calls ?seconds () in
   Introspect.set introspect;
   let flight = Option.map (fun _ -> Sink.flight ()) flight_path in
@@ -131,23 +130,17 @@ let verify_core problem engine lambda c heuristic appver calls seconds trace_fil
    | Some fl, Some path -> install_flight_handlers fl path
    | _ -> ());
   match
-    (* --no-bound-cache: drop warm-started incremental propagation and
-       restore the from-scratch bound path bit-for-bit *)
-    Abonn_prop.Incremental.with_enabled (not no_cache) @@ fun () ->
     with_observability ~trace_file ~progress ~stats ~flight (fun () ->
         match engine with
-        | "abonn" ->
+        | Abonn ->
           let config = Abonn_core.Config.make ~lambda ~c ~appver ~heuristic () in
           Abonn_core.Abonn.verify ~config ~budget ~domains problem
-        | "bab-baseline" ->
+        | Bab_baseline ->
           Abonn_bab.Bfs.verify ~appver ~heuristic ~budget ~domains problem
-        | "bestfirst" ->
+        | Bestfirst ->
           Abonn_bab.Bestfirst.verify ~appver ~heuristic ~budget ~domains problem
-        | "inputsplit" -> Abonn_bab.Inputsplit.verify ~appver ~budget ~domains problem
-        | "ab-crown" -> Abonn_crown.Alphabeta.verify ~budget ~domains problem
-        | other ->
-          Printf.eprintf "unknown engine %s; using abonn\n%!" other;
-          Abonn_core.Abonn.verify ~budget ~domains problem)
+        | Inputsplit -> Abonn_bab.Inputsplit.verify ~appver ~budget ~domains problem
+        | Ab_crown -> Abonn_crown.Alphabeta.verify ~budget ~domains problem)
   with
   | exception Sys_error msg ->
     restore_default_handlers ();
@@ -161,7 +154,7 @@ let verify_core problem engine lambda c heuristic appver calls seconds trace_fil
      Sink.flight_dump fl path;
      Printf.printf "flight recorder dumped to: %s (budget exhausted)\n" path
    | _ -> ());
-  Printf.printf "%s engine=%s\n" context engine;
+  Printf.printf "%s engine=%s\n" context (engine_name engine);
   Printf.printf "verdict: %s\n" (Verdict.to_string result.Result.verdict);
   Printf.printf "appver calls: %d\n" result.Result.stats.Result.appver_calls;
   Printf.printf "tree nodes:   %d (max depth %d)\n" result.Result.stats.Result.nodes
@@ -192,15 +185,15 @@ let append_registry registry ~domains ~engine ~model ~instance ~source_format
 
 let verify_problem problem engine lambda c heuristic appver calls seconds trace_file
     progress stats no_cache registry domains introspect flight_path lp_triage
-    no_lp_warm ~model ~instance ~context ~source_format =
+    ~model ~instance ~context ~source_format =
   match
     verify_core problem engine lambda c heuristic appver calls seconds trace_file
-      progress stats no_cache domains introspect flight_path lp_triage no_lp_warm
-      ~context
+      progress stats no_cache domains introspect flight_path lp_triage ~context
   with
   | Error msg -> `Error (false, msg)
   | Ok result ->
-    append_registry registry ~domains ~engine ~model ~instance ~source_format
+    append_registry registry ~domains ~engine:(engine_name engine) ~model ~instance
+      ~source_format
       ~verdict:(Verdict.to_string result.Result.verdict)
       ~wall:result.Result.stats.Result.wall_time
       ~calls:result.Result.stats.Result.appver_calls
@@ -214,7 +207,7 @@ let verify_problem problem engine lambda c heuristic appver calls seconds trace_
    (summed cost, joined verdict, source_format = "onnx+vnnlib"). *)
 let verify_spec problems engine lambda c heuristic appver calls seconds trace_file
     progress stats no_cache registry domains introspect flight_path lp_triage
-    no_lp_warm ~model ~instance ~context =
+    ~model ~instance ~context =
   let total = List.length problems in
   let rec go i acc = function
     | [] -> Ok (List.rev acc)
@@ -222,8 +215,7 @@ let verify_spec problems engine lambda c heuristic appver calls seconds trace_fi
       match
         verify_core problem engine lambda c heuristic appver calls seconds
           trace_file progress stats no_cache domains introspect flight_path
-          lp_triage no_lp_warm
-          ~context:(Printf.sprintf "%s disjunct=%d/%d" context (i + 1) total)
+          lp_triage ~context:(Printf.sprintf "%s disjunct=%d/%d" context (i + 1) total)
       with
       | Error msg -> Error msg
       | Ok result ->
@@ -243,7 +235,7 @@ let verify_spec problems engine lambda c heuristic appver calls seconds trace_fi
     if total > 1 then
       Printf.printf "joined verdict: %s (%d/%d disjuncts run)\n"
         (Verdict.to_string joined) (List.length results) total;
-    append_registry registry ~domains ~engine ~model ~instance
+    append_registry registry ~domains ~engine:(engine_name engine) ~model ~instance
       ~source_format:"onnx+vnnlib" ~verdict:(Verdict.to_string joined) ~wall
       ~calls:(sum (fun s -> s.Result.appver_calls))
       ~nodes:(sum (fun s -> s.Result.nodes))
@@ -255,7 +247,7 @@ let verify_spec problems engine lambda c heuristic appver calls seconds trace_fi
 
 let run problem_file onnx_file vnnlib_file model_name index eps factor engine lambda c
     heuristic appver calls seconds models_dir trace_file progress stats no_cache
-    registry domains introspect flight no_flight lp_triage no_lp_warm =
+    registry domains introspect flight no_flight lp_triage =
   let flight_path = if no_flight then None else Some flight in
   try
     match (problem_file, onnx_file, vnnlib_file) with
@@ -267,7 +259,7 @@ let run problem_file onnx_file vnnlib_file model_name index eps factor engine la
       let problem = Abonn_spec.Problem_file.load path in
       verify_problem problem engine lambda c heuristic appver calls seconds trace_file
         progress stats no_cache registry domains introspect flight_path lp_triage
-        no_lp_warm ~model:"problem-file"
+        ~model:"problem-file"
         ~instance:(Filename.basename path)
         ~context:(Printf.sprintf "problem=%s" path)
         ~source_format:"native"
@@ -278,7 +270,6 @@ let run problem_file onnx_file vnnlib_file model_name index eps factor engine la
       let problems = Abonn_spec.Vnnlib.problems ~name ~network spec in
       verify_spec problems engine lambda c heuristic appver calls seconds trace_file
         progress stats no_cache registry domains introspect flight_path lp_triage
-        no_lp_warm
         ~model:(Filename.basename onnx_path)
         ~instance:(Filename.basename vnnlib_path)
         ~context:(Printf.sprintf "onnx=%s vnnlib=%s" onnx_path vnnlib_path)
@@ -296,7 +287,7 @@ let run problem_file onnx_file vnnlib_file model_name index eps factor engine la
          | `Ok (problem, eps) ->
            verify_problem problem engine lambda c heuristic appver calls seconds
              trace_file progress stats no_cache registry domains introspect
-             flight_path lp_triage no_lp_warm ~model:model_name
+             flight_path lp_triage ~model:model_name
              ~instance:(Printf.sprintf "index%d_eps%.5g" index eps)
              ~context:(Printf.sprintf "model=%s index=%d eps=%.5f" model_name index eps)
              ~source_format:"synthetic"))
@@ -338,9 +329,9 @@ let factor_arg =
            ~doc:"Radius as a multiple of the certified radius (used when --eps is absent).")
 
 let engine_arg =
-  Arg.(value & opt string "abonn"
+  Arg.(value & opt (enum engines) Abonn
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"One of abonn, bab-baseline, bestfirst, inputsplit, ab-crown.")
+           ~doc:("BaB engine: " ^ doc_alts_enum engines ^ "."))
 
 let lambda_arg =
   Arg.(value & opt float 0.5 & info [ "lambda" ] ~docv:"L" ~doc:"Def. 1 depth weight.")
@@ -348,13 +339,26 @@ let lambda_arg =
 let c_arg =
   Arg.(value & opt float 0.2 & info [ "c" ] ~docv:"C" ~doc:"UCB1 exploration constant.")
 
+(* Name-keyed registries for [Arg.enum]: every record's first field is
+   its unique name, so the [compare] cmdliner applies to the values
+   settles on the name and never reaches the closures. *)
+let heuristics =
+  List.map (fun h -> (h.Abonn_bab.Branching.name, h)) Abonn_bab.Branching.all
+
+let appvers =
+  List.map
+    (fun v -> (v.Abonn_prop.Appver.name, v))
+    (Abonn_prop.Appver.all @ [ Abonn_lp.Lp_verifier.appver ])
+
 let heuristic_arg =
-  Arg.(value & opt string "deepsplit"
-       & info [ "heuristic" ] ~docv:"H" ~doc:"deepsplit, babsr, fsb or widest.")
+  Arg.(value & opt (enum heuristics) Abonn_bab.Branching.default
+       & info [ "heuristic" ] ~docv:"H"
+           ~doc:("Branching heuristic: " ^ doc_alts_enum heuristics ^ "."))
 
 let appver_arg =
-  Arg.(value & opt string "deeppoly"
-       & info [ "appver" ] ~docv:"V" ~doc:"deeppoly, deeppoly-zero, deeppoly-one, zonotope, symbolic, interval or lp.")
+  Arg.(value & opt (enum appvers) Abonn_prop.Appver.deeppoly
+       & info [ "appver" ] ~docv:"V"
+           ~doc:("Approximate verifier: " ^ doc_alts_enum appvers ^ "."))
 
 let calls_arg =
   Arg.(value & opt int 2000 & info [ "calls" ] ~docv:"N" ~doc:"AppVer-call budget.")
@@ -384,9 +388,10 @@ let stats_arg =
 let no_cache_arg =
   Arg.(value & flag
        & info [ "no-bound-cache" ]
-           ~doc:"Disable incremental (warm-started) bound propagation: every BaB node \
-                 recomputes its bounds from scratch, restoring the pre-cache search \
-                 path bit-for-bit.")
+           ~doc:"Disable warm-starting from the parent node's state (incremental \
+                 bound propagation and the LP basis): every BaB node recomputes \
+                 its bounds from scratch, restoring the pre-cache search path \
+                 bit-for-bit.")
 
 let domains_arg =
   Arg.(value & opt int (Abonn_par.Pool.default_domains ())
@@ -495,13 +500,6 @@ let lp_triage_arg =
                  window=N; bare $(b,--lp-triage) uses lb=0.5, depth=0, impr=0.1, \
                  window=32 (DESIGN.md \xC2\xA713).")
 
-let no_lp_warm_arg =
-  Arg.(value & flag
-       & info [ "no-lp-warm" ]
-           ~doc:"Disable warm-started LP reoptimization (basis cache, dual \
-                 simplex): every LP verifier call solves from scratch, \
-                 bit-for-bit the cold path.")
-
 let registry_arg =
   Arg.(value & opt ~vopt:(Some Registry.default_path) (some string) None
        & info [ "registry" ] ~docv:"FILE"
@@ -520,6 +518,6 @@ let cmd =
          $ lambda_arg $ c_arg $ heuristic_arg $ appver_arg $ calls_arg $ seconds_arg
          $ models_dir_arg $ trace_arg $ progress_arg $ stats_arg $ no_cache_arg
          $ registry_arg $ domains_arg $ introspect_arg $ flight_arg $ no_flight_arg
-         $ lp_triage_arg $ no_lp_warm_arg))
+         $ lp_triage_arg))
 
 let () = exit (Cmd.eval cmd)

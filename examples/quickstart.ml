@@ -12,8 +12,8 @@
    - a *violated* case where ABONN's guided exploration digs out a real
      counterexample.
 
-   ABONN's trace shows each expanded node Γ with its counterexample
-   potentiality [[Γ]] (Def. 1). *)
+   A callback sink on ABONN's [node_evaluated] events shows each
+   expanded node Γ with its counterexample potentiality [[Γ]] (Def. 1). *)
 
 module Verdict = Abonn_spec.Verdict
 module Result = Abonn_bab.Result
@@ -35,11 +35,18 @@ let verify_with_offset network offset =
     (if root.Abonn_prop.Outcome.phat < 0.0 then "  (negative: split or find a counterexample)"
      else "");
   print_endline "ABONN exploration (depth, node Γ, reward [[Γ]]):";
-  let trace ~depth ~gamma ~reward =
-    Printf.printf "  depth=%d  Γ=%-16s  [[Γ]]=%s\n" depth (Abonn_spec.Split.to_string gamma)
-      (Abonn_util.Table.fmt_float ~digits:4 reward)
+  (* every expansion emits a [node_evaluated] event; print each one *)
+  let print_node env =
+    match env.Abonn_obs.Event.event with
+    | Abonn_obs.Event.Node_evaluated { depth; gamma; reward; _ } ->
+      Printf.printf "  depth=%d  Γ=%-16s  [[Γ]]=%s\n" depth gamma
+        (Abonn_util.Table.fmt_float ~digits:4 reward)
+    | _ -> ()
   in
-  let abonn = Abonn_core.Abonn.verify ~trace problem in
+  let abonn =
+    Abonn_obs.Obs.with_sink (Abonn_obs.Sink.callback print_node) (fun () ->
+        Abonn_core.Abonn.verify problem)
+  in
   Printf.printf "ABONN verdict:        %s (%d AppVer calls, %d nodes)\n"
     (Verdict.to_string abonn.Result.verdict)
     abonn.Result.stats.Result.appver_calls abonn.Result.stats.Result.nodes;

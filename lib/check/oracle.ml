@@ -20,6 +20,7 @@ module Deeppoly = Abonn_prop.Deeppoly
 module Symbolic = Abonn_prop.Symbolic
 module Bounds = Abonn_prop.Bounds
 module Incremental = Abonn_prop.Incremental
+module Appver = Abonn_prop.Appver
 module Lp_verifier = Abonn_lp.Lp_verifier
 module Bfs = Abonn_bab.Bfs
 module Bestfirst = Abonn_bab.Bestfirst
@@ -600,16 +601,17 @@ let run_incremental cfg rng problem =
     (* cache-on vs cache-off engine agreement *)
     let budget () = Budget.of_calls cfg.engine_budget in
     let engines =
-      [ ("bfs", fun () -> (Bfs.verify ~budget:(budget ()) problem).Result.verdict);
-        ("bestfirst", fun () -> (Bestfirst.verify ~budget:(budget ()) problem).Result.verdict)
+      [ ("bfs", fun appver -> (Bfs.verify ~appver ~budget:(budget ()) problem).Result.verdict);
+        ("bestfirst",
+         fun appver -> (Bestfirst.verify ~appver ~budget:(budget ()) problem).Result.verdict)
       ]
     in
     let check_engine acc (name, f) =
       match acc with
       | Fail _ -> acc
       | Pass ->
-        let on = Incremental.with_enabled true f in
-        let off = Incremental.with_enabled false f in
+        let on = f Appver.deeppoly in
+        let off = f { Appver.deeppoly with Appver.warm = None } in
         let bogus v =
           match v with
           | Verdict.Falsified x -> not (Problem.is_counterexample problem x)
@@ -643,8 +645,8 @@ let run_incremental cfg rng problem =
 
 (* Differential checks for the warm-started dual simplex: walk a
    root-to-leaf split path whose phases match a concrete probe point,
-   warm-starting each LP call from its parent's cached basis exactly as
-   the BaB engines do, and check at every node
+   warm-starting each LP call from the basis on its parent's state
+   exactly as the BaB engines do, and check at every node
 
    - warm vs cold: the warm p̂ and per-row bounds match a cold solve of
      the same polytope within [tol] (same optima, different pivot order);
@@ -659,8 +661,6 @@ let run_incremental cfg rng problem =
    validate. *)
 
 let run_lp cfg rng problem =
-  (* a fresh cache makes the oracle deterministic in (seed, problem) *)
-  Lp_verifier.clear_warm_cache ();
   let k = Problem.num_relus problem in
   let points = probe_points cfg rng problem in
   let walk_verdict =
@@ -731,7 +731,7 @@ let run_lp cfg rng problem =
         end
       in
       (try
-         (* i = 0 is the unsplit root (caches the first basis); each
+         (* i = 0 is the unsplit root (its state carries the first basis); each
             further step extends gamma by one phase-matched ReLU *)
          for i = 0 to steps do
            if i > 0 then begin
@@ -758,11 +758,11 @@ let run_lp cfg rng problem =
   | Pass ->
     (* warm-on vs warm-off engine agreement with the LP AppVer *)
     let budget () = Budget.of_calls cfg.engine_budget in
-    let verdict_of () =
-      (Bfs.verify ~appver:Lp_verifier.appver ~budget:(budget ()) problem).Result.verdict
+    let verdict_of appver =
+      (Bfs.verify ~appver ~budget:(budget ()) problem).Result.verdict
     in
-    let on = Lp_verifier.with_warm_enabled true verdict_of in
-    let off = Lp_verifier.with_warm_enabled false verdict_of in
+    let on = verdict_of Lp_verifier.appver in
+    let off = verdict_of { Lp_verifier.appver with Appver.warm = None } in
     let bogus v =
       match v with
       | Verdict.Falsified x -> not (Problem.is_counterexample problem x)

@@ -2,7 +2,6 @@ module Budget = Abonn_util.Budget
 module Rng = Abonn_util.Rng
 module Obs = Abonn_obs.Obs
 module Ev = Abonn_obs.Event
-module Sink = Abonn_obs.Sink
 module Introspect = Abonn_obs.Introspect
 module Resource = Abonn_obs.Resource
 module Split = Abonn_spec.Split
@@ -190,17 +189,7 @@ let rec mcts_bab s node =
     end
   | None -> ()
 
-(* The legacy [?trace] callback, re-expressed as an observability sink:
-   it fires on exactly the [Node_evaluated] events this engine emits, so
-   callers observe the same per-node order as before. *)
-let trace_sink trace =
-  Sink.callback (fun env ->
-      match env.Ev.event with
-      | Ev.Node_evaluated { depth; gamma; reward; _ } ->
-        trace ~depth ~gamma:(Split.of_string gamma) ~reward
-      | _ -> ())
-
-let verify_seq ~config ~budget ?trace problem =
+let verify_seq ~config ~budget problem =
   let started = Unix.gettimeofday () in
   let rng = match config.Config.selection with
     | Config.Ucb1 -> None
@@ -222,46 +211,41 @@ let verify_seq ~config ~budget ?trace problem =
       nodes_created = 0;
       max_depth = 0 }
   in
-  let search () =
-    let root0 = eval_node s [] 0 in
-    let s = { s with phat_min = Float.min root0.outcome.Outcome.phat (-1e-12) } in
-    (* Recompute the root reward under the final normaliser. *)
-    let root =
-      { root0 with
-        reward =
-          potentiality s ~depth:0 ~phat:root0.outcome.Outcome.phat
-            ~valid_cex:(s.found_cex <> None) }
-    in
-    let finish verdict =
-      let wall_time = Unix.gettimeofday () -. started in
-      Resource.final s.resource ~open_nodes:0 ~nodes:s.nodes_created
-        ~max_depth:s.max_depth;
-      if Obs.tracing () then
-        Obs.emit
-          (Ev.Verdict_reached
-             { engine = "abonn"; verdict = Verdict.to_string verdict;
-               elapsed = wall_time });
-      Result.make ~verdict ~appver_calls:(Budget.calls_used budget)
-        ~nodes:s.nodes_created ~max_depth:s.max_depth ~wall_time
-    in
-    (* Termination (Line 5 / Lines 6–9). *)
-    let rec loop () =
-      if root.reward = infinity then
-        match s.found_cex with
-        | Some x -> finish (Verdict.Falsified x)
-        | None -> finish Verdict.Timeout (* unreachable: +∞ implies a stored cex *)
-      else if root.reward = neg_infinity then finish Verdict.Verified
-      else if Budget.exhausted budget then finish Verdict.Timeout
-      else begin
-        mcts_bab s root;
-        loop ()
-      end
-    in
-    loop ()
+  let root0 = eval_node s [] 0 in
+  let s = { s with phat_min = Float.min root0.outcome.Outcome.phat (-1e-12) } in
+  (* Recompute the root reward under the final normaliser. *)
+  let root =
+    { root0 with
+      reward =
+        potentiality s ~depth:0 ~phat:root0.outcome.Outcome.phat
+          ~valid_cex:(s.found_cex <> None) }
   in
-  match trace with
-  | None -> search ()
-  | Some t -> Obs.with_sink (trace_sink t) search
+  let finish verdict =
+    let wall_time = Unix.gettimeofday () -. started in
+    Resource.final s.resource ~open_nodes:0 ~nodes:s.nodes_created
+      ~max_depth:s.max_depth;
+    if Obs.tracing () then
+      Obs.emit
+        (Ev.Verdict_reached
+           { engine = "abonn"; verdict = Verdict.to_string verdict;
+             elapsed = wall_time });
+    Result.make ~verdict ~appver_calls:(Budget.calls_used budget)
+      ~nodes:s.nodes_created ~max_depth:s.max_depth ~wall_time
+  in
+  (* Termination (Line 5 / Lines 6–9). *)
+  let rec loop () =
+    if root.reward = infinity then
+      match s.found_cex with
+      | Some x -> finish (Verdict.Falsified x)
+      | None -> finish Verdict.Timeout (* unreachable: +∞ implies a stored cex *)
+    else if root.reward = neg_infinity then finish Verdict.Verified
+    else if Budget.exhausted budget then finish Verdict.Timeout
+    else begin
+      mcts_bab s root;
+      loop ()
+    end
+  in
+  loop ()
 
 (* --- parallel ABONN: seed expansion + per-subtree search portfolio ---
 
@@ -277,7 +261,7 @@ let verify_seq ~config ~budget ?trace problem =
 
 module Pool = Abonn_par.Pool
 
-let verify_par ~domains ~config ~budget ?trace problem =
+let verify_par ~domains ~config ~budget problem =
   let started = Unix.gettimeofday () in
   let seed_rng_seed =
     match config.Config.selection with
@@ -300,121 +284,116 @@ let verify_par ~domains ~config ~budget ?trace problem =
       nodes_created = 0;
       max_depth = 0 }
   in
-  let search () =
-    let root0 = eval_node s [] 0 in
-    let s = { s with phat_min = Float.min root0.outcome.Outcome.phat (-1e-12) } in
-    let root =
-      { root0 with
-        reward =
-          potentiality s ~depth:0 ~phat:root0.outcome.Outcome.phat
-            ~valid_cex:(s.found_cex <> None) }
+  let root0 = eval_node s [] 0 in
+  let s = { s with phat_min = Float.min root0.outcome.Outcome.phat (-1e-12) } in
+  let root =
+    { root0 with
+      reward =
+        potentiality s ~depth:0 ~phat:root0.outcome.Outcome.phat
+          ~valid_cex:(s.found_cex <> None) }
+  in
+  (* merged across the seed phase and every worker sub-search *)
+  let nodes_total = Atomic.make 0 and depth_total = Atomic.make 0 in
+  let note_depth d =
+    let rec go () =
+      let cur = Atomic.get depth_total in
+      if d > cur && not (Atomic.compare_and_set depth_total cur d) then go ()
     in
-    (* merged across the seed phase and every worker sub-search *)
-    let nodes_total = Atomic.make 0 and depth_total = Atomic.make 0 in
-    let note_depth d =
-      let rec go () =
-        let cur = Atomic.get depth_total in
-        if d > cur && not (Atomic.compare_and_set depth_total cur d) then go ()
-      in
-      go ()
+    go ()
+  in
+  let finish verdict =
+    Atomic.fetch_and_add nodes_total s.nodes_created |> ignore;
+    note_depth s.max_depth;
+    let wall_time = Unix.gettimeofday () -. started in
+    Resource.final s.resource ~open_nodes:0 ~nodes:(Atomic.get nodes_total)
+      ~max_depth:(Atomic.get depth_total);
+    if Obs.tracing () then
+      Obs.emit
+        (Ev.Verdict_reached
+           { engine = "abonn"; verdict = Verdict.to_string verdict;
+             elapsed = wall_time });
+    Result.make ~verdict ~appver_calls:(Budget.calls_used budget)
+      ~nodes:(Atomic.get nodes_total) ~max_depth:(Atomic.get depth_total)
+      ~wall_time
+  in
+  (* Seed phase: breadth-first expansion on the calling domain until
+     the frontier can feed every worker (≥ 2 sub-trees per domain). *)
+  let frontier = Queue.create () in
+  let undecided n = n.reward > neg_infinity && n.reward < infinity in
+  if undecided root then Queue.add root frontier;
+  let target = 2 * domains in
+  let rec seed () =
+    if s.found_cex <> None then `Cex
+    else if Queue.is_empty frontier then `All_proved
+    else if Budget.exhausted budget then `Timeout
+    else if Queue.length frontier >= target then `Frontier
+    else begin
+      let node = Queue.pop frontier in
+      expand s node;
+      (match node.children with
+       | Some (plus, minus) ->
+         if undecided plus then Queue.add plus frontier;
+         if undecided minus then Queue.add minus frontier
+       | None -> () (* exact leaf: reward pinned to ±∞ by [expand] *));
+      seed ()
+    end
+  in
+  match seed () with
+  | `Cex -> finish (Verdict.Falsified (Option.get s.found_cex))
+  | `All_proved -> finish Verdict.Verified
+  | `Timeout -> finish Verdict.Timeout
+  | `Frontier ->
+    let found = Atomic.make None and timeout = Atomic.make false in
+    let resources =
+      Array.init domains (fun _ -> Resource.create ~engine:"abonn" ())
     in
-    let finish verdict =
-      Atomic.fetch_and_add nodes_total s.nodes_created |> ignore;
-      note_depth s.max_depth;
-      let wall_time = Unix.gettimeofday () -. started in
-      Resource.final s.resource ~open_nodes:0 ~nodes:(Atomic.get nodes_total)
-        ~max_depth:(Atomic.get depth_total);
-      if Obs.tracing () then
-        Obs.emit
-          (Ev.Verdict_reached
-             { engine = "abonn"; verdict = Verdict.to_string verdict;
-               elapsed = wall_time });
-      Result.make ~verdict ~appver_calls:(Budget.calls_used budget)
-        ~nodes:(Atomic.get nodes_total) ~max_depth:(Atomic.get depth_total)
-        ~wall_time
-    in
-    (* Seed phase: breadth-first expansion on the calling domain until
-       the frontier can feed every worker (≥ 2 sub-trees per domain). *)
-    let frontier = Queue.create () in
-    let undecided n = n.reward > neg_infinity && n.reward < infinity in
-    if undecided root then Queue.add root frontier;
-    let target = 2 * domains in
-    let rec seed () =
-      if s.found_cex <> None then `Cex
-      else if Queue.is_empty frontier then `All_proved
-      else if Budget.exhausted budget then `Timeout
-      else if Queue.length frontier >= target then `Frontier
-      else begin
-        let node = Queue.pop frontier in
-        expand s node;
-        (match node.children with
-         | Some (plus, minus) ->
-           if undecided plus then Queue.add plus frontier;
-           if undecided minus then Queue.add minus frontier
-         | None -> () (* exact leaf: reward pinned to ±∞ by [expand] *));
-        seed ()
+    let work ctx (node : node) =
+      if not (Pool.stop_requested ctx) then begin
+        let s_w =
+          { s with
+            choose = config.Config.heuristic.Branching.prepare problem;
+            rng =
+              (match config.Config.selection with
+               | Config.Ucb1 -> None
+               | Config.Uniform_random _ -> Some (Pool.rng ctx));
+            resource = resources.(Pool.id ctx);
+            found_cex = None;
+            nodes_created = 0;
+            max_depth = node.depth }
+        in
+        let rec sub_loop () =
+          if node.reward = infinity then begin
+            (match s_w.found_cex with
+             | Some x -> ignore (Atomic.compare_and_set found None (Some x))
+             | None -> Atomic.set timeout true);
+            Pool.request_stop ctx
+          end
+          else if node.reward = neg_infinity then () (* sub-tree proved *)
+          else if Pool.stop_requested ctx then ()
+          else if Budget.exhausted budget then begin
+            Atomic.set timeout true;
+            Pool.request_stop ctx
+          end
+          else begin
+            mcts_bab s_w node;
+            sub_loop ()
+          end
+        in
+        sub_loop ();
+        Atomic.fetch_and_add nodes_total s_w.nodes_created |> ignore;
+        note_depth s_w.max_depth
       end
     in
-    match seed () with
-    | `Cex -> finish (Verdict.Falsified (Option.get s.found_cex))
-    | `All_proved -> finish Verdict.Verified
-    | `Timeout -> finish Verdict.Timeout
-    | `Frontier ->
-      let found = Atomic.make None and timeout = Atomic.make false in
-      let resources =
-        Array.init domains (fun _ -> Resource.create ~engine:"abonn" ())
-      in
-      let work ctx (node : node) =
-        if not (Pool.stop_requested ctx) then begin
-          let s_w =
-            { s with
-              choose = config.Config.heuristic.Branching.prepare problem;
-              rng =
-                (match config.Config.selection with
-                 | Config.Ucb1 -> None
-                 | Config.Uniform_random _ -> Some (Pool.rng ctx));
-              resource = resources.(Pool.id ctx);
-              found_cex = None;
-              nodes_created = 0;
-              max_depth = node.depth }
-          in
-          let rec sub_loop () =
-            if node.reward = infinity then begin
-              (match s_w.found_cex with
-               | Some x -> ignore (Atomic.compare_and_set found None (Some x))
-               | None -> Atomic.set timeout true);
-              Pool.request_stop ctx
-            end
-            else if node.reward = neg_infinity then () (* sub-tree proved *)
-            else if Pool.stop_requested ctx then ()
-            else if Budget.exhausted budget then begin
-              Atomic.set timeout true;
-              Pool.request_stop ctx
-            end
-            else begin
-              mcts_bab s_w node;
-              sub_loop ()
-            end
-          in
-          sub_loop ();
-          Atomic.fetch_and_add nodes_total s_w.nodes_created |> ignore;
-          note_depth s_w.max_depth
-        end
-      in
-      let roots = List.of_seq (Queue.to_seq frontier) in
-      ignore
-        (Pool.run ~domains ~seed:seed_rng_seed ~engine:"abonn" ~roots ~work ());
-      (match Atomic.get found with
-       | Some x -> finish (Verdict.Falsified x)
-       | None ->
-         if Atomic.get timeout then finish Verdict.Timeout
-         else finish Verdict.Verified)
-  in
-  match trace with
-  | None -> search ()
-  | Some t -> Obs.with_sink (trace_sink t) search
+    let roots = List.of_seq (Queue.to_seq frontier) in
+    ignore
+      (Pool.run ~domains ~seed:seed_rng_seed ~engine:"abonn" ~roots ~work ());
+    (match Atomic.get found with
+     | Some x -> finish (Verdict.Falsified x)
+     | None ->
+       if Atomic.get timeout then finish Verdict.Timeout
+       else finish Verdict.Verified)
 
-let verify ?(config = Config.default) ?budget ?trace ?domains problem =
+let verify ?(config = Config.default) ?budget ?domains problem =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let domains =
     match domains with
@@ -422,5 +401,5 @@ let verify ?(config = Config.default) ?budget ?trace ?domains problem =
     | Some _ -> 1
     | None -> Pool.default_domains ()
   in
-  if domains <= 1 then verify_seq ~config ~budget ?trace problem
-  else verify_par ~domains ~config ~budget ?trace problem
+  if domains <= 1 then verify_seq ~config ~budget problem
+  else verify_par ~domains ~config ~budget problem

@@ -26,16 +26,13 @@
 val verify :
   ?config:Config.t ->
   ?budget:Abonn_util.Budget.t ->
-  ?trace:(depth:int -> gamma:Abonn_spec.Split.gamma -> reward:float -> unit) ->
   ?domains:int ->
   Abonn_spec.Problem.t ->
   Abonn_bab.Result.t
-(** [trace] is invoked at every node expansion with the new child's
-    reward (used by the test suite to observe the exploration order).
-    Internally it is an [Abonn_obs] sink over this engine's
-    [node_evaluated] events; richer telemetry (selection, backprop,
-    exact-leaf and verdict events, counters, timers) is available by
-    installing a sink via [Abonn_obs.Obs.install] — see
+(** Every node expansion emits a [node_evaluated] event with the new
+    child's reward, alongside selection, backprop, exact-leaf and verdict
+    events, counters and timers; observe them by installing a sink
+    ([Abonn_obs.Obs.with_sink], e.g. [Abonn_obs.Sink.callback]) — see
     [docs/TRACE_SCHEMA.md].
 
     [domains] defaults to [Abonn_par.Pool.default_domains ()] (the

@@ -159,70 +159,11 @@ let run (problem : Problem.t) gamma =
 module Incremental = Abonn_prop.Incremental
 module Deeppoly = Abonn_prop.Deeppoly
 
-(* Process-global escape hatch (--no-lp-warm): when disabled, the warm
-   entry point is exactly [run] — bit-for-bit the cold path. *)
-let warm_flag = ref true
-
-let warm_enabled () = !warm_flag
-
-let set_warm_enabled v = warm_flag := v
-
-let with_warm_enabled v f =
-  let saved = !warm_flag in
-  warm_flag := v;
-  Fun.protect ~finally:(fun () -> warm_flag := saved) f
-
-(* Per-tree basis cache: content-addressed on (architecture fingerprint,
-   input region, split sequence) — the same identity [Incremental.classify]
-   keys parent bound state on — and mutex-guarded so [--domains N] workers
-   share it safely.  A stale or foreign basis can never produce a wrong
-   answer ([Boxlp.solve_warm] validates shape and repairs or falls back);
-   at worst it costs pivots, so the cache is evicted wholesale when it
-   outgrows [cache_cap]. *)
-type cache_key = {
-  ck_net : int;
-  ck_gamma : Abonn_spec.Split.gamma;
-  ck_lower : float array;
-  ck_upper : float array;
-}
-
-let cache_lock = Mutex.create ()
-let cache : (cache_key, Boxlp.warm) Hashtbl.t = Hashtbl.create 256
-let cache_cap = 4096
-
-let with_lock f =
-  Mutex.lock cache_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
-
-let net_fingerprint (problem : Problem.t) =
-  let affine = problem.Problem.affine in
-  Hashtbl.hash
-    ( Affine.(affine.input_dim),
-      Array.map (fun (w : Matrix.t) -> w.Matrix.rows) Affine.(affine.weights) )
-
-let cache_key (problem : Problem.t) gamma =
-  let region = problem.Problem.region in
-  { ck_net = net_fingerprint problem;
-    ck_gamma = gamma;
-    ck_lower = region.Region.lower;
-    ck_upper = region.Region.upper }
-
-let key_of_state (problem : Problem.t) (st : Incremental.t) =
-  { ck_net = net_fingerprint problem;
-    ck_gamma = st.Incremental.gamma;
-    ck_lower = st.Incremental.region_lower;
-    ck_upper = st.Incremental.region_upper }
-
-let cache_find key = with_lock (fun () -> Hashtbl.find_opt cache key)
-
-let cache_store key basis =
-  with_lock (fun () ->
-      if Hashtbl.length cache >= cache_cap then Hashtbl.reset cache;
-      Hashtbl.replace cache key basis)
-
-let clear_warm_cache () = with_lock (fun () -> Hashtbl.reset cache)
-
-let warm_cache_size () = with_lock (fun () -> Hashtbl.length cache)
+(* The warm path keeps each node's optimal basis on the node's own
+   state, next to the bounds it was computed from: a child replays
+   exactly its parent's basis, and nothing is shared between trees,
+   networks or properties. *)
+type Incremental.basis += Lp of Boxlp.warm
 
 (* Canonical fixed-shape encoding for the warm path.  Unlike [encode],
    whose rows depend on each neuron's stability state, every hidden
@@ -388,10 +329,10 @@ let analyse_warm ?state (problem : Problem.t) gamma =
     in
     let parent_basis =
       match state with
-      | Some st
+      | Some ({ Incremental.basis = Some (Lp b); _ } as st)
         when Incremental.classify st ~appver:"lp" ~problem ~gamma
              <> Incremental.Incompatible ->
-        cache_find (key_of_state problem st)
+        Some b
       | Some _ | None -> None
     in
     let c0, const0 = objective_of 0 in
@@ -427,18 +368,17 @@ let analyse_warm ?state (problem : Problem.t) gamma =
            fresh solve re-derives the same verdict. *)
         cold_row r carr constant
     done;
-    (match !session with
-     | Some ses ->
-       (match Boxlp.basis_of_session ses with
-        | Some b -> cache_store (cache_key problem gamma) b
-        | None -> ())
-     | None -> ());
+    let basis =
+      Option.bind !session (fun ses ->
+          Option.map (fun b -> Lp b) (Boxlp.basis_of_session ses))
+    in
     let phat = Array.fold_left Float.min infinity row_lower in
     let candidate = if phat > 0.0 then None else !best_candidate in
     let outcome = Outcome.make ~phat ?candidate ~pre_bounds ~row_lower () in
     let state' =
       Some
-        (Incremental.make ~appver:"lp" ~problem ~gamma ~pre_bounds ~row_lower)
+        (Incremental.make ~appver:"lp" ~problem ~gamma ~pre_bounds ~row_lower
+           ?basis ())
     in
     (outcome, state', { hit = !hit; pivots = !pivots; fallback = !fallback })
   end
@@ -447,12 +387,12 @@ let analyse_warm ?state (problem : Problem.t) gamma =
    [lp.warm.*] counters and one [lp_warm] trace event per call.
    Fallback semantics of the [fallback] payload: [""] = parent basis
    replayed successfully; ["no-parent"] = nothing to replay (root node,
-   incompatible state or cache miss); ["infeasible"] = the cheap bounds
-   already closed the node; anything else = a replay was attempted and
-   degraded to a cold solve (counted in [lp.warm.fallbacks]). *)
+   incompatible state, or a parent state without a basis);
+   ["infeasible"] = the cheap bounds already closed the node; anything
+   else = a replay was attempted and degraded to a cold solve (counted
+   in [lp.warm.fallbacks]). *)
 let run_warm ?state (problem : Problem.t) gamma =
-  if not (warm_enabled ()) then (run problem gamma, None)
-  else if not (Obs.active ()) then begin
+  if not (Obs.active ()) then begin
     let outcome, state', _ = analyse_warm ?state problem gamma in
     (outcome, state')
   end

@@ -18,6 +18,10 @@ val run : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> Abonn_prop.Outcome.t
 (** Pre-activation bounds are taken from [Abonn_prop.Deeppoly] (and are
     part of the returned outcome, as for every AppVer). *)
 
+type Abonn_prop.Incremental.basis += Lp of Boxlp.warm
+(** The optimal basis of a node's last solved row, carried on the
+    {!Abonn_prop.Incremental.t} that {!run_warm} returns. *)
+
 val run_warm :
   ?state:Abonn_prop.Incremental.t ->
   Abonn_spec.Problem.t ->
@@ -25,34 +29,18 @@ val run_warm :
   Abonn_prop.Outcome.t * Abonn_prop.Incremental.t option
 (** Warm-started analysis (DESIGN.md §13): pre-activation bounds reuse
     the parent's state through the DeepPoly incremental machinery, the
-    first property row is re-solved by dual simplex from the parent's
-    cached optimal basis ({!Boxlp.solve_warm}) and the remaining rows
-    reoptimize the same live tableau ({!Boxlp.reoptimize}).  Every
-    degraded step (no parent, incompatible state, singular or
+    first property row is re-solved by dual simplex from the optimal
+    basis the parent's state carries ({!Boxlp.solve_warm}) and the
+    remaining rows reoptimize the same live tableau
+    ({!Boxlp.reoptimize}).  The returned state carries this node's own
+    basis as [Lp b] for its children.  Every degraded step (no parent,
+    incompatible state, a parent state without a basis, singular or
     dual-infeasible basis, pivot cap) falls back to a cold solve of the
     same polytope, so the result is always exactly as trustworthy as
     {!run}; warm and cold differ only in pivot order (same optima up to
     floating-point noise).  Emits [lp.warm.{hits,pivots,fallbacks}]
     counters and one [lp_warm] trace event per call (TRACE_SCHEMA
-    §2.19).  When {!warm_enabled} is off this is exactly [run] paired
-    with [None] — bit-for-bit the cold path. *)
-
-val warm_enabled : unit -> bool
-(** Global warm-start switch, [true] by default ([--no-lp-warm] turns
-    it off). *)
-
-val set_warm_enabled : bool -> unit
-
-val with_warm_enabled : bool -> (unit -> 'a) -> 'a
-(** Run a thunk with the switch forced, restoring it afterwards (also
-    on exceptions). *)
-
-val clear_warm_cache : unit -> unit
-(** Drop every cached basis (tests; long-lived processes between
-    runs).  Never required for correctness. *)
-
-val warm_cache_size : unit -> int
-(** Number of cached bases (introspection/tests). *)
+    §2.19).  For the cold path use [{ appver with warm = None }]. *)
 
 val appver : Abonn_prop.Appver.t
 (** [run] registered under the name ["lp"], with [run_warm] as the warm

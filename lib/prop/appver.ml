@@ -40,13 +40,13 @@ let observed { name; run; warm } =
     warm }
 
 (* Warm-start dispatch: engines call this on every node.  Verifiers
-   without a warm entry point, and every call while the cache is
-   disabled (--no-bound-cache), fall through to the plain [run] —
+   without a warm entry point (including any [{ v with warm = None }],
+   the --no-bound-cache path) fall through to the plain [run] —
    bit-for-bit the pre-cache path, returning no state. *)
 let run_warm v ?state problem gamma =
   match v.warm with
-  | Some w when Incremental.enabled () -> w ?state problem gamma
-  | Some _ | None -> (v.run problem gamma, None)
+  | Some w -> w ?state problem gamma
+  | None -> (v.run problem gamma, None)
 
 (* --- easy/hard triage (DESIGN.md §13) ---
 

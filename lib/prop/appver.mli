@@ -19,7 +19,8 @@ type t = {
   run : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> Outcome.t;
   warm : warm option;
       (** warm-start entry point; [None] for verifiers that always run
-          from scratch *)
+          from scratch.  [{ v with warm = None }] is the cold variant of
+          any verifier (the CLI's [--no-bound-cache]). *)
 }
 
 val run_warm :
@@ -28,10 +29,10 @@ val run_warm :
   Abonn_spec.Problem.t ->
   Abonn_spec.Split.gamma ->
   Outcome.t * Incremental.t option
-(** Warm-start when the verifier supports it and {!Incremental.enabled}
-    is on; otherwise exactly [v.run problem gamma] (same instrumentation,
-    same floats) paired with [None].  The BaB engines call this on every
-    node, threading each node's returned state to its children. *)
+(** Warm-start when the verifier has a [warm] entry point; otherwise
+    exactly [v.run problem gamma] (same instrumentation, same floats)
+    paired with [None].  The BaB engines call this on every node,
+    threading each node's returned state to its children. *)
 
 val observed : t -> t
 (** Wrap a verifier with [Abonn_obs] instrumentation: an

@@ -350,6 +350,6 @@ let run_warm ?(slope = Adaptive) ?state (problem : Problem.t) gamma =
       Some
         (Incremental.make ~appver:name ~problem ~gamma
            ~pre_bounds:outcome.Outcome.pre_bounds
-           ~row_lower:outcome.Outcome.row_lower)
+           ~row_lower:outcome.Outcome.row_lower ())
   in
   (outcome, state')

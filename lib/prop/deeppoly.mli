@@ -55,5 +55,4 @@ val run_warm :
     one).  With [?state] absent or incompatible this is exactly [run]
     plus the construction of a fresh state.  Returns the node's own
     state for its children; [None] when the sub-problem was infeasible.
-    Does not consult {!Incremental.enabled} — gating the cache is the
-    caller's ([Appver.run_warm]'s) job. *)
+    The returned state carries no [basis]. *)

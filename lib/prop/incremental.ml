@@ -3,6 +3,8 @@ module Region = Abonn_spec.Region
 module Split = Abonn_spec.Split
 module Problem = Abonn_spec.Problem
 
+type basis = ..
+
 type t = {
   appver : string;
   region_lower : float array;
@@ -10,30 +12,18 @@ type t = {
   gamma : Split.gamma;
   pre_bounds : Bounds.t array;
   row_lower : float array;
+  basis : basis option;
 }
 
-(* Process-global escape hatch (--no-bound-cache): when disabled,
-   [Appver.run_warm] falls back to the from-scratch path and returns no
-   state, restoring the pre-cache behaviour bit-for-bit. *)
-let enabled_flag = ref true
-
-let enabled () = !enabled_flag
-
-let set_enabled v = enabled_flag := v
-
-let with_enabled v f =
-  let saved = !enabled_flag in
-  enabled_flag := v;
-  Fun.protect ~finally:(fun () -> enabled_flag := saved) f
-
-let make ~appver ~(problem : Problem.t) ~gamma ~pre_bounds ~row_lower =
+let make ~appver ~(problem : Problem.t) ~gamma ~pre_bounds ~row_lower ?basis () =
   let region = problem.Problem.region in
   { appver;
     region_lower = region.Region.lower;
     region_upper = region.Region.upper;
     gamma;
     pre_bounds;
-    row_lower }
+    row_lower;
+    basis }
 
 type reuse =
   | Prefix of int

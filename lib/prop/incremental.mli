@@ -22,6 +22,12 @@
 
     See DESIGN.md "Incremental bound propagation". *)
 
+type basis = ..
+(** Solver-specific warm-start payload carried with a node's state.
+    Verifiers outside this library extend it with their own constructor
+    (the LP verifier stores its optimal simplex basis), so the payload
+    travels down the tree with the bounds it was computed from. *)
+
 type t = {
   appver : string;          (** producing verifier, e.g. ["deeppoly"] *)
   region_lower : float array;
@@ -29,6 +35,7 @@ type t = {
   gamma : Abonn_spec.Split.gamma;
   pre_bounds : Bounds.t array;  (** every hidden layer, splits folded in *)
   row_lower : float array;      (** certified per-row property lower bounds *)
+  basis : basis option;         (** [None] for bound-only verifiers (DeepPoly) *)
 }
 
 val make :
@@ -37,6 +44,8 @@ val make :
   gamma:Abonn_spec.Split.gamma ->
   pre_bounds:Bounds.t array ->
   row_lower:float array ->
+  ?basis:basis ->
+  unit ->
   t
 
 (** How a parent state can be reused for a node. *)
@@ -54,13 +63,3 @@ type reuse =
 val classify :
   t -> appver:string -> problem:Abonn_spec.Problem.t ->
   gamma:Abonn_spec.Split.gamma -> reuse
-
-val enabled : unit -> bool
-(** Global cache switch, [true] by default.  When [false],
-    [Appver.run_warm] ignores states and runs from scratch
-    (the [--no-bound-cache] escape hatch). *)
-
-val set_enabled : bool -> unit
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run with the switch forced to the given value, restoring it after. *)

@@ -225,6 +225,11 @@ let of_events events =
   let calls, nodes =
     match engine with
     | "abonn" -> (!node_evaluated + !exact_leaf, !node_evaluated)
+    | "bab-baseline" when !summaries <> [] ->
+      (* pool run: the per-domain frontiers interleave, so count pushes
+         instead — every node but the root was pushed exactly once *)
+      ( !frontier_pop + !exact_leaf,
+        List.fold_left (fun acc (_, _, pushed, _, _) -> acc + pushed) 1 !summaries )
     | "bab-baseline" -> (!frontier_pop + !exact_leaf, !frontier_pop + !last_frontier)
     | "bestfirst" -> (!bound_computed + !exact_leaf, !bound_computed)
     | _ ->

@@ -17,7 +17,9 @@
     - [bab-baseline]: calls = frontier_pop + exact_leaf is exact; node
       and depth counts are derived from frontier sizes and can
       undercount by one split (2 nodes / 1 depth) on timeout, because
-      nodes pushed after the final pop are invisible to the trace.
+      nodes pushed after the final pop are invisible to the trace; a
+      pool run counts nodes as 1 + the [pushed] totals of its
+      [domain_summary] events instead.
 
     Harness traces carry the ground truth in [run_finished]; it is kept
     in [reported] so consumers can cross-check the reconstruction. *)

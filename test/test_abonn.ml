@@ -1,7 +1,8 @@
 (* Tests for Abonn_core: Def. 1 potentiality values, configuration
    validation, and Alg. 1 end-to-end — verdict agreement with the naive
-   BaB baseline, counterexample validity, budget/timeout behaviour, trace
-   callbacks, hyperparameter and selection-policy variants. *)
+   BaB baseline, counterexample validity, budget/timeout behaviour,
+   per-node observability events, hyperparameter and selection-policy
+   variants. *)
 
 module Rng = Abonn_util.Rng
 module Budget = Abonn_util.Budget
@@ -18,6 +19,17 @@ module Config = Abonn_core.Config
 module Abonn = Abonn_core.Abonn
 
 let check_float = Alcotest.(check (float 1e-9))
+
+(* Run [f] with [on_node ~depth ~gamma ~reward] called on every
+   [node_evaluated] event, i.e. once per node expansion, in order. *)
+let with_node_callback on_node f =
+  Abonn_obs.Obs.with_sink
+    (Abonn_obs.Sink.callback (fun env ->
+         match env.Abonn_obs.Event.event with
+         | Abonn_obs.Event.Node_evaluated { depth; gamma; reward; _ } ->
+           on_node ~depth ~gamma ~reward
+         | _ -> ()))
+    f
 
 let random_problem ?(seed = 0) ?(dims = [ 2; 6; 2 ]) ?(eps = 0.3) () =
   let rng = Rng.create seed in
@@ -162,30 +174,34 @@ let test_abonn_times_out () =
 let test_abonn_trace_observes_expansions () =
   let problem = random_problem ~seed:14 ~eps:0.35 () in
   let count = ref 0 and max_d = ref 0 in
-  let trace ~depth ~gamma:_ ~reward:_ =
+  let on_node ~depth ~gamma:_ ~reward:_ =
     incr count;
     max_d := Stdlib.max !max_d depth
   in
-  let r = Abonn.verify ~budget:(Budget.of_calls 300) ~trace problem in
+  let r =
+    with_node_callback on_node (fun () ->
+        Abonn.verify ~budget:(Budget.of_calls 300) problem)
+  in
   Alcotest.(check int) "trace sees every node" r.Result.stats.Result.nodes !count;
   Alcotest.(check int) "max depth agrees" r.Result.stats.Result.max_depth !max_d
 
 let test_abonn_obs_events_match_trace_callback () =
-  (* The obs stream must agree with the legacy [?trace] callback: the
-     [Node_evaluated] events are exactly the callback invocations, in
-     order, and selection / backprop / verdict events accompany them. *)
+  (* A [Sink.callback] on [node_evaluated] and a memory sink over the
+     whole stream see exactly the same expansions, in order, and
+     selection / backprop / verdict events accompany them. *)
   let module Ev = Abonn_obs.Event in
   let module Obs = Abonn_obs.Obs in
   let module Sink = Abonn_obs.Sink in
   let problem = random_problem ~seed:14 ~eps:0.35 () in
   let callback = ref [] in
-  let trace ~depth ~gamma ~reward =
-    callback := (depth, Abonn_spec.Split.to_string gamma, reward) :: !callback
+  let on_node ~depth ~gamma ~reward =
+    callback := (depth, gamma, reward) :: !callback
   in
   let sink, events = Sink.memory () in
   let r =
     Obs.with_sink sink (fun () ->
-        Abonn.verify ~budget:(Budget.of_calls 300) ~trace problem)
+        with_node_callback on_node (fun () ->
+            Abonn.verify ~budget:(Budget.of_calls 300) problem))
   in
   let events = events () in
   let evaluated =
@@ -363,11 +379,12 @@ let run_scripted script ~lambda ~c =
     Abonn_core.Config.make ~lambda ~c ~appver ~heuristic:lowest_relu_heuristic ()
   in
   let order = ref [] in
-  let trace ~depth:_ ~gamma ~reward:_ = order := Split.to_string gamma :: !order in
+  let on_node ~depth:_ ~gamma ~reward:_ = order := gamma :: !order in
   (* pinned sequential: scripted tests assert the exact expansion order *)
   let result =
-    Abonn_core.Abonn.verify ~config ~budget:(Budget.of_calls 50) ~trace ~domains:1
-      problem
+    with_node_callback on_node (fun () ->
+        Abonn_core.Abonn.verify ~config ~budget:(Budget.of_calls 50) ~domains:1
+          problem)
   in
   (result, List.rev !order)
 

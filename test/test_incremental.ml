@@ -209,8 +209,8 @@ let test_engine_verdicts_cache_invariant () =
     (fun problem ->
       List.iter
         (fun (name, run) ->
-          let on = Incremental.with_enabled true (fun () -> (run () : Result.t)) in
-          let off = Incremental.with_enabled false run in
+          let on : Result.t = run Appver.deeppoly in
+          let off = run { Appver.deeppoly with Appver.warm = None } in
           Alcotest.(check bool)
             (name ^ ": verified agrees cache-on/off")
             (Verdict.is_verified off.Result.verdict)
@@ -227,8 +227,9 @@ let test_engine_verdicts_cache_invariant () =
                   (Problem.is_counterexample problem x)
               | Verdict.Verified | Verdict.Timeout -> ())
             [ on; off ])
-        [ ("bfs", fun () -> Bfs.verify ~budget:(Budget.of_calls 5000) problem);
-          ("bestfirst", fun () -> Bestfirst.verify ~budget:(Budget.of_calls 5000) problem)
+        [ ("bfs", fun appver -> Bfs.verify ~appver ~budget:(Budget.of_calls 5000) problem);
+          ("bestfirst",
+           fun appver -> Bestfirst.verify ~appver ~budget:(Budget.of_calls 5000) problem)
         ])
     problems
 
@@ -259,22 +260,20 @@ let test_incompatible_state_falls_back () =
 let test_disabled_cache_bypasses_warm_path () =
   let problem = mlp_problem ~dims:[ 3; 4; 4; 2 ] 42 in
   let _, st = Deeppoly.run_warm problem [] in
-  Alcotest.(check bool) "cache enabled by default" true (Incremental.enabled ());
-  Incremental.with_enabled false (fun () ->
-      let outcome, state =
-        Appver.run_warm Appver.deeppoly ?state:st problem []
-      in
-      Alcotest.(check bool) "no state returned when disabled" true (state = None);
-      let scratch = Deeppoly.run problem [] in
-      Alcotest.(check bool) "disabled path is the scratch path" true
-        (Float.equal outcome.Outcome.phat scratch.Outcome.phat));
-  Alcotest.(check bool) "flag restored" true (Incremental.enabled ())
+  let outcome, state =
+    Appver.run_warm { Appver.deeppoly with Appver.warm = None } ?state:st problem []
+  in
+  Alcotest.(check bool) "no state returned when disabled" true (state = None);
+  let scratch = Deeppoly.run problem [] in
+  Alcotest.(check bool) "disabled path is the scratch path" true
+    (Float.equal outcome.Outcome.phat scratch.Outcome.phat)
 
 (* --- observability --- *)
 
 (* A real BFS run with the cache on must report nonzero cache counters,
    and every [bound_reuse] trace event must annotate the immediately
-   preceding [bound_computed] (same appver, same depth). *)
+   preceding [bound_computed] of the same emitting domain (same appver,
+   same depth). *)
 let test_counters_and_bound_reuse_events () =
   (* scan a few instances for one the root cannot decide, so the run
      genuinely expands children and exercises the cache *)
@@ -320,7 +319,12 @@ let test_counters_and_bound_reuse_events () =
         | _ :: rest -> pairs rest
         | [] -> ()
       in
-      pairs evs)
+      (* under ABONN_DOMAINS > 1 the workers' streams interleave; each
+         domain's own stream keeps the pairs adjacent *)
+      let domains = List.sort_uniq compare (List.map (fun e -> e.Event.domain) evs) in
+      List.iter
+        (fun d -> pairs (List.filter (fun e -> e.Event.domain = d) evs))
+        domains)
 
 let test_bound_reuse_json_roundtrip () =
   let ev =

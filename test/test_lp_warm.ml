@@ -2,7 +2,9 @@
    warm vs cold agreement along split paths, basis round-trips through
    [Boxlp.solve_warm], fallback-path correctness, the bounded-pivot
    [Pivot_limit] result, [lp.warm.*] counters and [lp_warm] trace events,
-   the [--no-lp-warm] escape hatch and multi-domain verdict agreement. *)
+   the basis travelling on the node state (never across trees), the cold
+   [{ appver with warm = None }] path and multi-domain verdict
+   agreement. *)
 
 module Rng = Abonn_util.Rng
 module Budget = Abonn_util.Budget
@@ -91,7 +93,6 @@ let with_metrics f =
    encoding vs the modelling-layer encoding): optima must agree to
    solver noise on every node of a split path. *)
 let test_warm_stateless_matches_cold () =
-  Lp_verifier.clear_warm_cache ();
   for seed = 0 to 5 do
     let problem = random_problem ~seed ~eps:0.4 () in
     let rng = Rng.create (1000 + seed) in
@@ -141,7 +142,6 @@ let test_warm_infeasible_split_vacuous () =
    tighten (parent LP rows clamp the child's DeepPoly pre-bounds) but can
    never be looser than cold, and stay sound against the in-region probe. *)
 let test_warm_stateful_sound_and_no_looser () =
-  Lp_verifier.clear_warm_cache ();
   for seed = 10 to 14 do
     let problem = random_problem ~seed ~dims:[ 2; 6; 2 ] ~eps:0.4 () in
     let rng = Rng.create (2000 + seed) in
@@ -174,12 +174,11 @@ let test_warm_stateful_sound_and_no_looser () =
       (gammas_of_path (phase_path problem x depth))
   done
 
-(* Stateful warm calls along a path must actually replay cached bases:
-   every non-root node is a cache hit, with matching counters and one
+(* Stateful warm calls along a path must actually replay the parent's
+   basis: every non-root node is a hit, with matching counters and one
    [lp_warm] event per call whose payload obeys the fallback contract
    ([""] iff hit, ["no-parent"] at the root). *)
 let test_warm_cache_hits_and_events () =
-  Lp_verifier.clear_warm_cache ();
   let problem = random_problem ~seed:3 ~dims:[ 2; 6; 2 ] ~eps:0.4 () in
   let rng = Rng.create 77 in
   let x = Region.sample rng problem.Problem.region in
@@ -187,8 +186,8 @@ let test_warm_cache_hits_and_events () =
   let gammas = gammas_of_path (phase_path problem x depth) in
   with_metrics (fun () ->
       let sink, events = Sink.memory () in
+      let state = ref None in
       Obs.with_sink sink (fun () ->
-          let state = ref None in
           List.iter
             (fun gamma ->
               let _, state' = Lp_verifier.run_warm ?state:!state problem gamma in
@@ -198,8 +197,10 @@ let test_warm_cache_hits_and_events () =
       Alcotest.(check int) "every non-root call hits" non_root
         (counter "lp.warm.hits");
       Alcotest.(check int) "no degraded fallbacks" 0 (counter "lp.warm.fallbacks");
-      Alcotest.(check bool) "cache populated" true
-        (Lp_verifier.warm_cache_size () > 0);
+      Alcotest.(check bool) "returned state carries an Lp basis" true
+        (match !state with
+         | Some { Abonn_prop.Incremental.basis = Some (Lp_verifier.Lp _); _ } -> true
+         | Some _ | None -> false);
       let warm_events =
         List.filter_map
           (fun e ->
@@ -235,22 +236,77 @@ let test_warm_cache_hits_and_events () =
       in
       pairs (events ()))
 
-(* [--no-lp-warm]: the warm entry point is bit-for-bit the cold path. *)
+(* The [(hit, fallback, pivots)] payload of every [lp_warm] event [f]
+   emits, in order. *)
+let warm_stats f =
+  let sink, events = Sink.memory () in
+  Obs.with_sink sink f;
+  List.filter_map
+    (fun e ->
+      match e.Event.event with
+      | Event.Lp_warm { hit; fallback; pivots; _ } -> Some (hit, fallback, pivots)
+      | _ -> None)
+    (events ())
+
+(* A basis belongs to the tree that produced it: a root call on another
+   network of the same shape over the same box, made between A's root
+   and A's children, must not change what A's children replay. *)
+let test_basis_stays_on_its_tree () =
+  let region = Region.create ~lower:[| -1.0; -1.0 |] ~upper:[| 1.0; 1.0 |] in
+  let problem seed =
+    let network = Builder.mlp (Rng.create seed) ~dims:[ 2; 6; 2 ] in
+    Problem.create ~network ~region
+      ~property:(Property.robustness ~num_classes:2 ~label:0) ()
+  in
+  let a = problem 1 and b = problem 2 in
+  let children =
+    List.concat_map
+      (fun relu ->
+        [ Split.extend [] ~relu ~phase:Split.Active;
+          Split.extend [] ~relu ~phase:Split.Inactive ])
+      (List.init (Problem.num_relus a) Fun.id)
+  in
+  let run_a ~interleave =
+    warm_stats (fun () ->
+        let _, root = Lp_verifier.run_warm a [] in
+        if interleave then ignore (Lp_verifier.run_warm b []);
+        List.iter
+          (fun gamma -> ignore (Lp_verifier.run_warm ?state:root a gamma))
+          children)
+  in
+  let plain = run_a ~interleave:false in
+  let interleaved =
+    (* drop B's root event, the second one *)
+    match run_a ~interleave:true with
+    | root :: _b :: rest -> root :: rest
+    | short -> short
+  in
+  let show (hit, fb, pivots) = Printf.sprintf "(%b,%S,%d)" hit fb pivots in
+  Alcotest.(check (list string)) "A's (hit, fallback, pivots) unchanged"
+    (List.map show plain) (List.map show interleaved);
+  Alcotest.(check bool) "children replay A's basis" true
+    (List.exists (fun (hit, _, _) -> hit) plain)
+
+(* [{ appver with warm = None }]: bit-for-bit the cold path, even when
+   handed a parent state. *)
 let test_disabled_is_cold_path () =
+  let cold_appver = { Lp_verifier.appver with Abonn_prop.Appver.warm = None } in
   for seed = 20 to 23 do
     let problem = random_problem ~seed ~eps:0.4 () in
-    Lp_verifier.with_warm_enabled false (fun () ->
-        let cold = Lp_verifier.run problem [] in
-        let warm, state' = Lp_verifier.run_warm problem [] in
-        Alcotest.(check bool) "no state" true (state' = None);
-        Alcotest.(check bool)
-          (Printf.sprintf "identical phat (seed %d)" seed)
-          true
-          (cold.Outcome.phat = warm.Outcome.phat);
-        Alcotest.(check bool) "identical rows" true
-          (cold.Outcome.row_lower = warm.Outcome.row_lower);
-        Alcotest.(check bool) "identical candidate" true
-          (cold.Outcome.candidate = warm.Outcome.candidate))
+    let _, parent = Lp_verifier.run_warm problem [] in
+    let cold = Lp_verifier.run problem [] in
+    let warm, state' =
+      Abonn_prop.Appver.run_warm cold_appver ?state:parent problem []
+    in
+    Alcotest.(check bool) "no state" true (state' = None);
+    Alcotest.(check bool)
+      (Printf.sprintf "identical phat (seed %d)" seed)
+      true
+      (cold.Outcome.phat = warm.Outcome.phat);
+    Alcotest.(check bool) "identical rows" true
+      (cold.Outcome.row_lower = warm.Outcome.row_lower);
+    Alcotest.(check bool) "identical candidate" true
+      (cold.Outcome.candidate = warm.Outcome.candidate)
   done
 
 (* --- Boxlp basis round-trips and fallbacks --- *)
@@ -443,19 +499,17 @@ let test_engine_warm_cold_domains_agree () =
     (fun seed ->
       let problem = random_problem ~seed ~dims:[ 2; 6; 2 ] ~eps:0.35 () in
       let budget () = Budget.of_calls 2_000 in
-      Lp_verifier.clear_warm_cache ();
       let vwarm =
         (Bfs.verify ~appver:Lp_verifier.appver ~budget:(budget ()) ~domains:1
            problem)
           .Result.verdict
       in
       let vcold =
-        Lp_verifier.with_warm_enabled false (fun () ->
-            (Bfs.verify ~appver:Lp_verifier.appver ~budget:(budget ()) ~domains:1
-               problem)
-              .Result.verdict)
+        (Bfs.verify
+           ~appver:{ Lp_verifier.appver with Abonn_prop.Appver.warm = None }
+           ~budget:(budget ()) ~domains:1 problem)
+          .Result.verdict
       in
-      Lp_verifier.clear_warm_cache ();
       let vpar =
         (Bfs.verify ~appver:Lp_verifier.appver ~budget:(budget ()) ~domains:4
            problem)
@@ -478,6 +532,8 @@ let suite =
           test_warm_stateful_sound_and_no_looser;
         Alcotest.test_case "cache hits and events" `Quick
           test_warm_cache_hits_and_events;
+        Alcotest.test_case "basis stays on its tree" `Quick
+          test_basis_stays_on_its_tree;
         Alcotest.test_case "disabled is cold path" `Quick
           test_disabled_is_cold_path
       ] );

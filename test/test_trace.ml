@@ -441,14 +441,14 @@ let test_diff_cached_vs_uncached () =
   let problem = random_problem ~seed:0 () in
   (* domains is pinned: diffing two scheduling-dependent parallel runs
      would make the no-divergence check flaky under ABONN_DOMAINS *)
-  let run () =
-    Abonn_bab.Bestfirst.verify ~budget:(Budget.of_calls 200) ~domains:1 problem
+  let run appver () =
+    Abonn_bab.Bestfirst.verify ~appver ~budget:(Budget.of_calls 200) ~domains:1
+      problem
   in
-  let r_on, cached =
-    traced_run (fun () -> Abonn_prop.Incremental.with_enabled true run)
-  in
+  let deeppoly = Abonn_prop.Appver.deeppoly in
+  let r_on, cached = traced_run (run deeppoly) in
   let r_off, uncached =
-    traced_run (fun () -> Abonn_prop.Incremental.with_enabled false run)
+    traced_run (run { deeppoly with Abonn_prop.Appver.warm = None })
   in
   Alcotest.(check string) "same verdict"
     (Verdict.to_string r_off.Result.verdict)
