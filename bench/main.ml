@@ -33,6 +33,14 @@ let first_problem =
 
 let mini_calls = 120
 
+(* The deepest zoo model (four convolutions): its conv-derived layers
+   take the CSR back-substitution kernel, so this row tracks that path. *)
+let cifar_deep_problem =
+  let trained = Models.train ~epochs:8 Models.cifar_deep in
+  match Instances.generate ~count:1 trained with
+  | inst :: _ -> inst.Instances.problem
+  | [] -> failwith "no cifar_deep instance"
+
 (* --- table/figure benches (one per §V artifact) --- *)
 
 let bench_table1 =
@@ -85,6 +93,10 @@ let bench_ablation =
 let bench_appver_deeppoly =
   Test.make ~name:"kernel_deeppoly_call"
     (Staged.stage (fun () -> Abonn_prop.Deeppoly.run first_problem []))
+
+let bench_appver_deeppoly_cifar_deep =
+  Test.make ~name:"kernel_deeppoly_cifar_deep"
+    (Staged.stage (fun () -> Abonn_prop.Deeppoly.run cifar_deep_problem []))
 
 let bench_appver_interval =
   Test.make ~name:"kernel_interval_call"
@@ -148,8 +160,9 @@ let tests =
   Test.make_grouped ~name:"abonn"
     [ bench_table1; bench_fig3; bench_table2_rq1; bench_fig4_scatter;
       bench_fig5_heatmap; bench_fig6_boxes; bench_ablation; bench_appver_deeppoly;
-      bench_appver_interval; bench_appver_zonotope; bench_appver_symbolic; bench_appver_lp;
-      bench_appver_lp_warm; bench_engine_bfs; bench_engine_abonn; bench_attack_pgd ]
+      bench_appver_deeppoly_cifar_deep; bench_appver_interval; bench_appver_zonotope;
+      bench_appver_symbolic; bench_appver_lp; bench_appver_lp_warm; bench_engine_bfs;
+      bench_engine_abonn; bench_attack_pgd ]
 
 (* name -> (ns/run estimate, r^2), nested under "rows" with schema,
    commit and date stamps at top level so numbers stay traceable to the

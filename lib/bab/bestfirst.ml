@@ -106,7 +106,10 @@ let verify_seq ~appver ~heuristic ~budget problem =
                loop ()
              | None ->
                Budget.record_call budget;
-               let resolution = Exact.resolve problem node.gamma in
+               let resolution =
+                 Exact.resolve ~pre_bounds:node.outcome.Outcome.pre_bounds problem
+                   node.gamma
+               in
                if Obs.active () then begin
                  Obs.incr "bestfirst.exact";
                  if Obs.tracing () then

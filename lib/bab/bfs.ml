@@ -80,7 +80,9 @@ let run_bfs ~appver ~heuristic ~budget ~record problem =
           | None ->
             (* Fully stabilised leaf: decide exactly with one LP call. *)
             Budget.record_call budget;
-            let resolution = Exact.resolve problem gamma in
+            let resolution =
+              Exact.resolve ~pre_bounds:outcome.Outcome.pre_bounds problem gamma
+            in
             if Obs.active () then begin
               Obs.incr "bfs.exact";
               if Obs.tracing () then

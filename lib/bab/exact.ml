@@ -1,4 +1,5 @@
 module Matrix = Abonn_tensor.Matrix
+module Boxlp = Abonn_lp.Boxlp
 module Affine = Abonn_nn.Affine
 module Region = Abonn_spec.Region
 module Property = Abonn_spec.Property
@@ -55,46 +56,55 @@ let compose_through affine (pre_bounds : Bounds.t array) =
 let any_unstable pre_bounds =
   Array.exists (fun b -> Bounds.num_unstable b > 0) pre_bounds
 
-(* Exact minimum of one affine objective over the leaf polytope. *)
-let minimise_row ~region ~maps ~coefs ~constant =
-  let lp = Abonn_lp.Lp_problem.create () in
-  let inputs =
-    Array.init (Array.length coefs) (fun j ->
-        Abonn_lp.Lp_problem.add_var ~lo:region.Region.lower.(j) ~hi:region.Region.upper.(j) lp)
-  in
+(* The leaf polytope over the input box: one row per fixed ReLU phase,
+   in layer-major order, each row's terms in descending column order
+   (the order fixes how the simplex sums its initial slack values). *)
+let phase_rows maps =
+  let rows = ref [] in
   Array.iter
     (fun ((m : Matrix.t), c, (bnd : Bounds.t)) ->
       for i = 0 to Array.length c - 1 do
-        let terms = ref [] in
+        let coefs = ref [] in
         for j = 0 to m.Matrix.cols - 1 do
           let v = Matrix.get m i j in
-          if v <> 0.0 then terms := (v, inputs.(j)) :: !terms
+          if v <> 0.0 then coefs := (j, v) :: !coefs
         done;
         match Bounds.relu_state_of bnd i with
         | Bounds.Stable_active ->
-          Abonn_lp.Lp_problem.add_constraint lp !terms Abonn_lp.Lp_problem.Ge (-.c.(i))
+          rows := { Boxlp.coefs = !coefs; sense = Boxlp.Ge; rhs = -.c.(i) } :: !rows
         | Bounds.Stable_inactive ->
-          Abonn_lp.Lp_problem.add_constraint lp !terms Abonn_lp.Lp_problem.Le (-.c.(i))
+          rows := { Boxlp.coefs = !coefs; sense = Boxlp.Le; rhs = -.c.(i) } :: !rows
         | Bounds.Unstable -> ()
       done)
     maps;
-  let obj = ref [] in
-  Array.iteri (fun j v -> if v <> 0.0 then obj := (v, inputs.(j)) :: !obj) coefs;
-  Abonn_lp.Lp_problem.set_objective ~constant lp !obj;
-  match Abonn_lp.Lp_problem.solve lp with
-  | Abonn_lp.Lp_problem.Optimal { objective; values } ->
-    `Optimal (objective, Array.map values inputs)
-  | Abonn_lp.Lp_problem.Infeasible -> `Infeasible
-  | Abonn_lp.Lp_problem.Unbounded ->
-    raise (Unresolvable "leaf LP unbounded (cannot happen over a box)")
-  | Abonn_lp.Lp_problem.Pivot_limit ->
-    raise (Unresolvable "leaf LP hit its pivot limit")
+  List.rev !rows
 
-let resolve problem gamma =
-  match Abonn_prop.Deeppoly.hidden_bounds problem gamma with
+(* Exact minimum of one affine objective over the leaf polytope, whose
+   phase 1 is shared by every property row of the leaf. *)
+let minimise_row polytope ~coefs ~constant =
+  let sol = Boxlp.solve_over polytope ~c:coefs in
+  match sol.Boxlp.status with
+  | Boxlp.Optimal -> `Optimal (sol.Boxlp.objective +. constant, sol.Boxlp.x)
+  | Boxlp.Infeasible -> `Infeasible
+  | Boxlp.Unbounded -> raise (Unresolvable "leaf LP unbounded (cannot happen over a box)")
+  | Boxlp.Pivot_limit -> raise (Unresolvable "leaf LP hit its pivot limit")
+
+(* Bounds an engine certified for this node are sound for every point of
+   the leaf, and usually tighter than a cold recomputation (warm starts
+   intersect each layer with the parent's bounds); only a missing or
+   partial array is recomputed. *)
+let leaf_bounds ?pre_bounds (problem : Problem.t) gamma =
+  let n_hidden = Affine.num_layers problem.Problem.affine - 1 in
+  match pre_bounds with
+  | Some b when Array.length b = n_hidden -> Some b
+  | Some _ | None -> Abonn_prop.Deeppoly.hidden_bounds problem gamma
+
+let resolve ?pre_bounds problem gamma =
+  match leaf_bounds ?pre_bounds problem gamma with
   | None -> `Verified (* infeasible splits: vacuous *)
   | Some pre_bounds when any_unstable pre_bounds ->
-    (* Not actually fully stabilised (defensive path): fall back to the
+    (* Not fully stabilised under these bounds (cold bounds can be
+       looser than the ones an engine found stable): fall back to the
        triangle-relaxation LP and concrete validation. *)
     let outcome = Abonn_lp.Lp_verifier.run problem gamma in
     begin match outcome.Outcome.candidate with
@@ -110,6 +120,11 @@ let resolve problem gamma =
     let maps, (out_m, out_c) = compose_through affine pre_bounds in
     let constraint_maps =
       Array.mapi (fun l (m, c) -> (m, c, pre_bounds.(l))) maps
+    in
+    let polytope =
+      lazy
+        (Boxlp.polytope ~lo:region.Region.lower ~hi:region.Region.upper
+           ~rows:(phase_rows constraint_maps) ())
     in
     let nrows = prop.Property.c.Matrix.rows in
     (* Exactly minimise each property row over the leaf polytope; a
@@ -138,7 +153,7 @@ let resolve problem gamma =
         in
         if box_lower > 0.0 then rows (r + 1) worst
         else
-        match minimise_row ~region ~maps:constraint_maps ~coefs ~constant with
+        match minimise_row (Lazy.force polytope) ~coefs ~constant with
         | `Infeasible -> `Verified (* empty leaf: vacuous for every row *)
         | `Optimal (value, x) ->
           if Problem.is_counterexample problem x then `Falsified x

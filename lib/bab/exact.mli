@@ -19,6 +19,18 @@ exception Unresolvable of string
     [Abonn_spec.Property.violated]. *)
 
 val resolve :
+  ?pre_bounds:Abonn_prop.Bounds.t array ->
   Abonn_spec.Problem.t ->
   Abonn_spec.Split.gamma ->
   [ `Verified | `Falsified of float array ]
+(** [resolve ?pre_bounds problem gamma] decides the leaf [gamma].
+    [pre_bounds] are hidden-layer bounds already certified for this node
+    (an engine passes [outcome.pre_bounds]); they fix the ReLU phases of
+    the leaf LP.  They are recomputed cold by DeepPoly only when absent
+    or of the wrong length, which is what the independent checks
+    ({!Certificate.check}, the fuzz oracles) rely on.  When some neuron
+    is still unstable under the bounds, the leaf falls back to the
+    triangle-relaxation LP.  The leaf polytope goes through phase 1 of
+    the simplex once ({!Abonn_lp.Boxlp.polytope}); each property row is
+    then minimised from that basis, with the same result as a cold
+    solve of that row alone. *)

@@ -128,7 +128,9 @@ let run_relu_split ~engine ~domains ~appver ~heuristic ~budget ~record problem =
          | None ->
            (* fully stabilised leaf: decide exactly with one LP call *)
            Budget.record_call budget;
-           let resolution = Exact.resolve problem gamma in
+           let resolution =
+             Exact.resolve ~pre_bounds:outcome.Outcome.pre_bounds problem gamma
+           in
            if Obs.active () then begin
              Obs.incr (String.concat "" [ engine; ".exact" ]);
              if Obs.tracing () then

@@ -148,7 +148,9 @@ let expand s node =
     node.children <- Some (plus, minus)
   | None ->
     Budget.record_call s.budget;
-    let resolution = Exact.resolve s.problem node.gamma in
+    let resolution =
+      Exact.resolve ~pre_bounds:node.outcome.Outcome.pre_bounds s.problem node.gamma
+    in
     begin match resolution with
     | `Verified -> node.reward <- neg_infinity
     | `Falsified x ->

@@ -178,10 +178,12 @@ let extract_solution st ~c ~n =
    polytope restart from the current basis. *)
 type session = { st : state; n : int; smax_iters : int }
 
-let solve_session ?(max_iters = 100_000) ~c ~lo ~hi ~rows () =
-  let n = Array.length c in
-  if Array.length lo <> n || Array.length hi <> n then
-    invalid_arg "Boxlp.solve: bound array length mismatch";
+(* Build the tableau over the box and rows, then run phase 1.  Nothing
+   here depends on the objective, so the resulting state is a valid
+   start for phase 2 under any cost vector. *)
+let phase_one ~max_iters ~lo ~hi ~rows =
+  let n = Array.length lo in
+  if Array.length hi <> n then invalid_arg "Boxlp.solve: bound array length mismatch";
   Array.iteri
     (fun j l ->
       if l > hi.(j) then invalid_arg "Boxlp.solve: lo > hi";
@@ -265,9 +267,6 @@ let solve_session ?(max_iters = 100_000) ~c ~lo ~hi ~rows () =
     glo.(a) <- 0.0;
     ghi.(a) <- 0.0
   done;
-  let fail_result status =
-    { status; objective = 0.0; x = Array.make n 0.0; iterations = st.iters }
-  in
   (* phase 1 *)
   let phase1 =
     if !n_artificials = 0 then `Feasible
@@ -293,21 +292,75 @@ let solve_session ?(max_iters = 100_000) ~c ~lo ~hi ~rows () =
         if !resid > 1e-7 then `Infeasible else `Feasible
     end
   in
+  (st, phase1)
+
+let fail_result st ~n status =
+  { status; objective = 0.0; x = Array.make n 0.0; iterations = st.iters }
+
+(* Phase 2 for objective [c] from the state phase 1 left. *)
+let phase_two st ~n ~c ~max_iters =
+  let c2 = Array.make st.total 0.0 in
+  Array.blit c 0 c2 0 n;
+  set_costs st c2;
+  match run_phase st ~allowed:st.n_real ~max_iters with
+  | `Limit -> `Failed (fail_result st ~n Pivot_limit)
+  | `Unbounded -> `Failed { (fail_result st ~n Unbounded) with objective = neg_infinity }
+  | `Optimal -> `Optimal (extract_solution st ~c ~n)
+
+let solve_session ?(max_iters = 100_000) ~c ~lo ~hi ~rows () =
+  let n = Array.length c in
+  if Array.length lo <> n then invalid_arg "Boxlp.solve: bound array length mismatch";
+  let st, phase1 = phase_one ~max_iters ~lo ~hi ~rows in
   match phase1 with
-  | `Limit -> (fail_result Pivot_limit, None)
-  | `Infeasible -> (fail_result Infeasible, None)
+  | `Limit -> (fail_result st ~n Pivot_limit, None)
+  | `Infeasible -> (fail_result st ~n Infeasible, None)
   | `Feasible ->
-    let c2 = Array.make total 0.0 in
-    Array.blit c 0 c2 0 n;
-    set_costs st c2;
-    (match run_phase st ~allowed:n_real ~max_iters with
-     | `Limit -> (fail_result Pivot_limit, None)
-     | `Unbounded -> ({ (fail_result Unbounded) with objective = neg_infinity }, None)
-     | `Optimal ->
-       (extract_solution st ~c ~n, Some { st; n; smax_iters = max_iters }))
+    (match phase_two st ~n ~c ~max_iters with
+     | `Failed sol -> (sol, None)
+     | `Optimal sol -> (sol, Some { st; n; smax_iters = max_iters }))
 
 let solve ?max_iters ~c ~lo ~hi ~rows () =
   fst (solve_session ?max_iters ~c ~lo ~hi ~rows ())
+
+(* The phase-1 state is kept untouched; each objective restores it into
+   one work state and runs phase 2 there, so every solve repeats the
+   cold solve's pivots exactly while phase 1 runs once. *)
+type polytope = {
+  start : state;
+  phase1 : [ `Feasible | `Infeasible | `Limit ];
+  work : state;
+  pn : int;
+  pmax_iters : int;
+}
+
+let polytope ?(max_iters = 100_000) ~lo ~hi ~rows () =
+  let start, phase1 = phase_one ~max_iters ~lo ~hi ~rows in
+  let work =
+    { start with
+      tab = Array.map Array.copy start.tab;
+      basis = Array.copy start.basis;
+      xb = Array.copy start.xb;
+      status = Array.copy start.status;
+      z = Array.copy start.z }
+  in
+  { start; phase1; work; pn = Array.length lo; pmax_iters = max_iters }
+
+let solve_over p ~c =
+  if Array.length c <> p.pn then invalid_arg "Boxlp.solve_over: cost length mismatch";
+  match p.phase1 with
+  | `Limit -> fail_result p.start ~n:p.pn Pivot_limit
+  | `Infeasible -> fail_result p.start ~n:p.pn Infeasible
+  | `Feasible ->
+    let st = p.start and w = p.work in
+    (* phase 2 reads but never writes [lo]/[hi], and [set_costs]
+       overwrites all of [z] *)
+    Array.iteri (fun i row -> Array.blit row 0 w.tab.(i) 0 st.total) st.tab;
+    Array.blit st.basis 0 w.basis 0 st.m;
+    Array.blit st.xb 0 w.xb 0 st.m;
+    Array.blit st.status 0 w.status 0 st.total;
+    w.iters <- st.iters;
+    (match phase_two w ~n:p.pn ~c ~max_iters:p.pmax_iters with
+     | `Failed sol | `Optimal sol -> sol)
 
 let reoptimize ?max_iters ses ~c =
   let st = ses.st in

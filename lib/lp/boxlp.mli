@@ -61,6 +61,26 @@ val solve :
     or a row references an unknown variable.  Exceeding [max_iters]
     (default 100_000) pivots yields [{ status = Pivot_limit; _ }]. *)
 
+(** {1 Many objectives over one polytope} *)
+
+type polytope
+(** A polytope (box and rows) after phase 1, ready to be minimised
+    under any number of objectives. *)
+
+val polytope :
+  ?max_iters:int -> lo:float array -> hi:float array -> rows:row list -> unit -> polytope
+(** Build the tableau and run phase 1 once.  Raises [Invalid_argument]
+    on the same inputs as {!solve}. *)
+
+val solve_over : polytope -> c:float array -> solution
+(** [solve_over (polytope ~lo ~hi ~rows ()) ~c] equals
+    [solve ~c ~lo ~hi ~rows ()] bit for bit, optimum, minimiser and
+    [iterations] included: phase 2 restarts from the stored phase-1
+    basis for every objective.  Unlike {!reoptimize}, the optimal vertex
+    chosen on a degenerate face therefore does not depend on the
+    objectives solved before.  Raises [Invalid_argument] if [c] has the
+    wrong length. *)
+
 (** {1 Warm-started solves} *)
 
 type session

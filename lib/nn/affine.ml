@@ -1,4 +1,5 @@
 module Matrix = Abonn_tensor.Matrix
+module Sparse = Abonn_tensor.Sparse
 
 type t = {
   weights : Matrix.t array;
@@ -7,6 +8,7 @@ type t = {
   output_dim : int;
   relu_offsets : int array;
   num_relus : int;
+  sparse : Sparse.t option array;
 }
 
 let layer_as_affine = function
@@ -40,7 +42,8 @@ let of_pairs pairs =
       input_dim = w0.Matrix.cols;
       output_dim = weights.(n - 1).Matrix.rows;
       relu_offsets;
-      num_relus = !acc }
+      num_relus = !acc;
+      sparse = Array.map Sparse.of_dense weights }
 
 let of_weights pairs =
   List.iter
@@ -73,6 +76,19 @@ let of_network net =
 let num_layers t = Array.length t.weights
 
 let layer_width t l = t.weights.(l).Matrix.rows
+
+(* The CSR kernel skips the [0 · x_i] terms, which are signed zeros only
+   for finite [x_i].  Coefficients can be non-finite (an unbounded input
+   region makes the ReLU relaxation NaN), and such an input keeps the
+   dense kernel, so the result never depends on the storage format. *)
+let all_finite (x : float array) =
+  let rec go i = i < 0 || (Float.is_finite x.(i) && go (i - 1)) in
+  go (Array.length x - 1)
+
+let tmv t l x =
+  match t.sparse.(l) with
+  | Some s when all_finite x -> Sparse.tmv s x
+  | Some _ | None -> Matrix.tmv t.weights.(l) x
 
 let forward t x =
   let n = num_layers t in

@@ -6,10 +6,12 @@
       input → W₀x+b₀ → ReLU → W₁x+b₁ → ReLU → … → W_{L-1}x+b_{L-1} → output
 
     [of_network] compiles an arbitrary [Network.t] into this form by
-    materialising convolutions as dense matrices and fusing consecutive
-    affine layers.  ReLU units carry a global index [0 .. num_relus - 1]
-    (layer-major) used by BaB split constraints; this is the [K] neuron
-    count of the paper's Def. 1. *)
+    materialising convolutions as matrices and fusing consecutive affine
+    layers.  Every layer keeps its dense matrix; a layer less than half
+    nonzero (in practice every convolution) also gets a compressed-row
+    copy that {!tmv} uses.  ReLU units carry a global index
+    [0 .. num_relus - 1] (layer-major) used by BaB split constraints;
+    this is the [K] neuron count of the paper's Def. 1. *)
 
 type t = private {
   weights : Abonn_tensor.Matrix.t array;  (** [L] weight matrices *)
@@ -20,6 +22,9 @@ type t = private {
       (** [L-1] entries: global index of the first ReLU of hidden layer
           [l] (all hidden layers are followed by a ReLU). *)
   num_relus : int;
+  sparse : Abonn_tensor.Sparse.t option array;
+      (** [L] entries: the CSR copy of [weights.(l)] when it is less
+          than half nonzero.  Read it only through {!tmv}. *)
 }
 
 val of_network : Network.t -> t
@@ -35,6 +40,13 @@ val num_layers : t -> int
 
 val layer_width : t -> int -> int
 (** [layer_width t l] is the width of pre-activation layer [l]. *)
+
+val tmv : t -> int -> float array -> float array
+(** [tmv t l x] is [Wₗᵀ x], the back-substitution step through layer
+    [l].  It uses the layer's CSR copy when there is one and [x] is
+    finite, and the dense kernel otherwise; the result is bit-identical
+    to [Matrix.tmv t.weights.(l) x] either way
+    (see {!Abonn_tensor.Sparse.tmv}). *)
 
 val forward : t -> float array -> float array
 

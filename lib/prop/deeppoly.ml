@@ -69,12 +69,12 @@ let relax_relu slope (b : Bounds.t) sym =
   sym.hi_const <- !hi_const
 
 (* Rewrite a symbolic bound over ẑ_k = W_k x_k + b_k into one over x_k. *)
-let through_affine (w : Matrix.t) (b : float array) sym =
-  let dot coef = Abonn_tensor.Vector.dot coef b in
+let through_affine affine k sym =
+  let dot coef = Abonn_tensor.Vector.dot coef Affine.(affine.biases.(k)) in
   sym.lo_const <- sym.lo_const +. dot sym.lo_coef;
   sym.hi_const <- sym.hi_const +. dot sym.hi_coef;
-  sym.lo_coef <- Matrix.tmv w sym.lo_coef;
-  sym.hi_coef <- Matrix.tmv w sym.hi_coef
+  sym.lo_coef <- Affine.tmv affine k sym.lo_coef;
+  sym.hi_coef <- Affine.tmv affine k sym.hi_coef
 
 (* Concretise a symbolic bound over the input box. *)
 let concretize (region : Region.t) sym =
@@ -100,7 +100,7 @@ let minimizer_corner (region : Region.t) lo_coef =
 let backsub slope affine region ~pre_bounds ~start_layer syms =
   for k = start_layer - 1 downto 0 do
     Array.iter (relax_relu slope pre_bounds.(k)) syms;
-    Array.iter (through_affine Affine.(affine.weights.(k)) Affine.(affine.biases.(k))) syms
+    Array.iter (through_affine affine k) syms
   done;
   Array.map (concretize region) syms
 
@@ -203,13 +203,12 @@ let property_syms (problem : Problem.t) =
   let prop = problem.Problem.property in
   let c = prop.Property.c and d = prop.Property.d in
   let last = Affine.num_layers affine - 1 in
-  let w = Affine.(affine.weights.(last)) and b = Affine.(affine.biases.(last)) in
   (* Fold the output affine layer into the property rows so coefficients
      range over x_last (the post-activation of the deepest hidden layer). *)
   Array.init c.Matrix.rows (fun i ->
       let row = Matrix.row c i in
       let sym = sym_of_row row d.(i) in
-      through_affine w b sym;
+      through_affine affine last sym;
       sym)
 
 (* Interval-based lower bound of each property row over the output box

@@ -708,3 +708,150 @@ let triage_suite =
     ] )
 
 let suite = suite @ [ triage_suite ]
+
+(* --- exact leaves (DESIGN.md §6) --- *)
+
+module Boxlp = Abonn_lp.Boxlp
+module Abonn = Abonn_core.Abonn
+
+(* Random 4-4-4 MLP on which breadth-first BaB reaches fully-stabilised
+   leaves whose warm node bounds are all stable but whose cold DeepPoly
+   bounds are not. *)
+let warm_stable_problem () = random_problem ~seed:1 ~dims:[ 3; 4; 4; 4; 2 ] ~eps:0.4 ()
+
+let any_unstable bounds = Array.exists (fun b -> Bounds.num_unstable b > 0) bounds
+
+(* An engine hands the leaf its own certified bounds, so a leaf that the
+   engine found fully stable is solved exactly: no triangle-relaxation
+   LP runs, although cold bounds would have sent some leaves there. *)
+let test_warm_stable_leaf_skips_triangle_lp () =
+  let problem = warm_stable_problem () in
+  let result, cert =
+    with_metrics (fun () ->
+        let r = Bfs.verify_with_certificate ~budget:(Budget.of_calls 3000) ~domains:1 problem in
+        Alcotest.(check bool) "exact leaves reached" true (counter "bfs.exact" > 0);
+        Alcotest.(check int) "no triangle-LP call" 0 (counter "appver.lp.calls");
+        r)
+  in
+  Alcotest.(check bool) "verified" true (Verdict.is_verified result.Result.verdict);
+  let cert = Option.get cert in
+  let cold_unstable =
+    List.filter
+      (fun (leaf : Certificate.leaf) ->
+        leaf.Certificate.by_exact
+        && (match Deeppoly.hidden_bounds problem leaf.Certificate.gamma with
+            | Some b -> any_unstable b
+            | None -> false))
+      cert.Certificate.leaves
+  in
+  Alcotest.(check bool) "some exact leaf is unstable under cold bounds" true
+    (cold_unstable <> []);
+  Alcotest.(check bool) "certificate checks on the cold path" true
+    (Certificate.check problem cert = Ok ())
+
+let test_every_engine_passes_node_bounds () =
+  let problem = warm_stable_problem () in
+  List.iter
+    (fun (name, run) ->
+      with_metrics (fun () ->
+          let r : Result.t = run () in
+          Alcotest.(check bool) (name ^ " verified") true (Verdict.is_verified r.Result.verdict);
+          Alcotest.(check int) (name ^ ": no triangle-LP call") 0 (counter "appver.lp.calls")))
+    [ ("parfrontier", fun () -> Bfs.verify ~budget:(Budget.of_calls 3000) ~domains:2 problem);
+      ("bestfirst", fun () -> Bestfirst.verify ~budget:(Budget.of_calls 3000) ~domains:1 problem);
+      ("abonn", fun () -> Abonn.verify ~budget:(Budget.of_calls 3000) ~domains:1 problem) ]
+
+(* With cold bounds these leaves fell back to the triangle LP, whose
+   negative bound came with a minimiser that does not violate, and the
+   engine raised [Exact.Unresolvable].  The node's bounds decide them. *)
+let test_cold_unresolvable_leaves_decided () =
+  List.iter
+    (fun (seed, dims, eps) ->
+      let problem = random_problem ~seed ~dims ~eps () in
+      match (Bfs.verify ~budget:(Budget.of_calls 3000) ~domains:1 problem).Result.verdict with
+      | Verdict.Falsified x ->
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: counterexample valid" seed)
+          true (Problem.is_counterexample problem x)
+      | v -> Alcotest.failf "seed %d: expected falsified, got %s" seed (Verdict.to_string v))
+    [ (10, [ 3; 4; 4; 4; 2 ], 0.4); (11, [ 2; 3; 3; 3; 2 ], 0.5) ]
+
+(* Bounds of the wrong length are ignored, and the cold bounds passed
+   explicitly give the cold answer. *)
+let test_resolve_bound_fallbacks () =
+  let problem = random_problem ~seed:4 ~dims:[ 2; 3; 2 ] ~eps:0.3 () in
+  let k = Problem.num_relus problem in
+  for mask = 0 to (1 lsl k) - 1 do
+    let gamma = leaf_gamma k mask in
+    let cold = Exact.resolve problem gamma in
+    Alcotest.(check bool) "wrong-length bounds recomputed" true
+      (Exact.resolve ~pre_bounds:[||] problem gamma = cold);
+    match Deeppoly.hidden_bounds problem gamma with
+    | Some b ->
+      Alcotest.(check bool) "explicit cold bounds" true
+        (Exact.resolve ~pre_bounds:b problem gamma = cold)
+    | None -> ()
+  done
+
+(* One phase 1 per polytope, then phase 2 per objective from the stored
+   basis: every solve must equal a cold [Boxlp.solve] bit for bit, on
+   feasible, degenerate and infeasible polytopes alike. *)
+let test_polytope_solves_equal_cold () =
+  let rng = Rng.create 77 in
+  let bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let statuses = Hashtbl.create 4 in
+  for case = 0 to 59 do
+    let n = 2 + Rng.int rng 5 and m = 1 + Rng.int rng 6 in
+    let lo = Array.init n (fun _ -> Rng.range rng (-1.0) 0.0) in
+    let hi = Array.map (fun l -> l +. Rng.range rng 0.1 2.0) lo in
+    let point = Array.init n (fun j -> Rng.range rng lo.(j) hi.(j)) in
+    let rows =
+      List.init m (fun i ->
+          let coefs =
+            List.filter_map
+              (fun j -> if Rng.float rng 1.0 < 0.6 then Some (j, Rng.range rng (-2.0) 2.0) else None)
+              (List.init n Fun.id)
+          in
+          let at = List.fold_left (fun a (j, v) -> a +. (v *. point.(j))) 0.0 coefs in
+          (* every third case puts a row on the wrong side of the point,
+             which can make the polytope empty *)
+          let shift = if case mod 3 = 0 && i = 0 then 5.0 else 0.0 in
+          if Rng.float rng 1.0 < 0.5 then { Boxlp.coefs; sense = Boxlp.Le; rhs = at -. shift }
+          else { Boxlp.coefs; sense = Boxlp.Ge; rhs = at +. shift })
+    in
+    let poly = Boxlp.polytope ~lo ~hi ~rows () in
+    for _ = 1 to 5 do
+      let c =
+        Array.init n (fun _ ->
+            match Rng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | _ -> Rng.range rng (-1.0) 1.0)
+      in
+      let cold = Boxlp.solve ~c ~lo ~hi ~rows () in
+      let warm = Boxlp.solve_over poly ~c in
+      Hashtbl.replace statuses cold.Boxlp.status ();
+      Alcotest.(check bool) (Printf.sprintf "case %d: status" case) true
+        (cold.Boxlp.status = warm.Boxlp.status);
+      Alcotest.(check bool) (Printf.sprintf "case %d: objective bits" case) true
+        (bits cold.Boxlp.objective warm.Boxlp.objective);
+      Alcotest.(check bool) (Printf.sprintf "case %d: minimiser bits" case) true
+        (Array.for_all2 bits cold.Boxlp.x warm.Boxlp.x);
+      Alcotest.(check int) (Printf.sprintf "case %d: iterations" case) cold.Boxlp.iterations
+        warm.Boxlp.iterations
+    done
+  done;
+  Alcotest.(check bool) "feasible and infeasible polytopes both seen" true
+    (Hashtbl.mem statuses Boxlp.Optimal && Hashtbl.mem statuses Boxlp.Infeasible)
+
+let exact_leaf_suite =
+  ( "bab.exact_leaf",
+    [ Alcotest.test_case "warm-stable leaf makes no triangle-LP call" `Quick
+        test_warm_stable_leaf_skips_triangle_lp;
+      Alcotest.test_case "every engine passes its node bounds" `Quick
+        test_every_engine_passes_node_bounds;
+      Alcotest.test_case "cold-unresolvable leaves decided" `Quick
+        test_cold_unresolvable_leaves_decided;
+      Alcotest.test_case "bound fallbacks" `Quick test_resolve_bound_fallbacks;
+      Alcotest.test_case "leaf polytope solves equal cold solves" `Quick
+        test_polytope_solves_equal_cold
+    ] )
+
+let suite = suite @ [ exact_leaf_suite ]

@@ -153,6 +153,24 @@ let test_warm_matches_scratch_generated () =
         differential_path (Gen.case ~seed:515 ~index).Gen.problem
       done)
 
+(* One untrained network per zoo CNN builder: their conv layers take the
+   CSR back-substitution kernel. *)
+let zoo_conv_problem (spec : Abonn_data.Models.spec) seed =
+  let rng = Rng.create seed in
+  let network = spec.Abonn_data.Models.build rng in
+  let dim = Network.input_dim network in
+  let center = Array.init dim (fun _ -> Rng.range rng 0.2 0.8) in
+  let region = Region.linf_ball ~center ~eps:0.01 () in
+  let label = Network.predict network center in
+  let property = Property.robustness ~num_classes:(Network.output_dim network) ~label in
+  Problem.create ~network ~region ~property ()
+
+let test_warm_matches_scratch_zoo_convs () =
+  with_metrics (fun () ->
+      List.iter
+        (fun spec -> differential_path (zoo_conv_problem spec 31))
+        Abonn_data.Models.[ cifar_base; cifar_wide; cifar_deep ])
+
 let test_warm_matches_scratch_deep_and_conv () =
   with_metrics (fun () ->
       differential_path (mlp_problem ~dims:[ 3; 3; 3; 3; 3; 3; 3; 3; 2 ] ~eps:0.2 7);
@@ -343,6 +361,8 @@ let suite =
           test_prefix_physically_shared;
         Alcotest.test_case "warm vs scratch on generated cases" `Quick
           test_warm_matches_scratch_generated;
+        Alcotest.test_case "warm vs scratch on zoo CNN builders" `Quick
+          test_warm_matches_scratch_zoo_convs;
         Alcotest.test_case "warm vs scratch on deep MLP and CNN" `Quick
           test_warm_matches_scratch_deep_and_conv;
         Alcotest.test_case "exhaustive 2^K cells stay sound" `Quick

@@ -295,6 +295,66 @@ let prop_forward_deterministic =
       let net = Builder.mlp rng ~dims:[ 3; 4; 2 ] in
       Vector.approx_equal (Network.forward net x) (Network.forward net x))
 
+(* --- CSR storage of conv-derived layers --- *)
+
+module Sparse = Abonn_tensor.Sparse
+module Models = Abonn_data.Models
+module Onnx = Abonn_nn.Onnx
+
+let same_bits name (expected : float array) (actual : float array) =
+  Array.iteri
+    (fun j e ->
+      if not (Int64.equal (Int64.bits_of_float e) (Int64.bits_of_float actual.(j))) then
+        Alcotest.failf "%s: output %d is %h, dense gives %h" name j actual.(j) e)
+    expected
+
+let num_convs net =
+  List.length (List.filter (function Layer.Conv2d _ -> true | _ -> false) (Network.layers net))
+
+(* Every conv-derived layer has a CSR copy and every dense layer has
+   none; [Affine.tmv] equals the dense [Matrix.tmv] bit for bit on every
+   layer, including inputs with zeros, signed zeros and non-finite
+   entries (which take the dense kernel). *)
+let check_sparse_layers name net =
+  let affine = Affine.of_network net in
+  let convs = num_convs net in
+  let rng = Rng.create 99 in
+  for l = 0 to Affine.num_layers affine - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "%s layer %d has CSR iff conv-derived" name l)
+      (l < convs)
+      (Option.is_some Affine.(affine.sparse.(l)));
+    let w = Affine.(affine.weights.(l)) in
+    let inputs =
+      [ Array.init w.Matrix.rows (fun _ -> Rng.range rng (-2.0) 2.0);
+        Array.init w.Matrix.rows (fun i ->
+            if i mod 3 = 0 then 0.0 else if i mod 3 = 1 then -0.0 else Rng.range rng (-1.0) 1.0);
+        Array.init w.Matrix.rows (fun i -> if i = 0 then infinity else 1.0);
+        Array.init w.Matrix.rows (fun i -> if i = w.Matrix.rows - 1 then Float.nan else -1.0) ]
+    in
+    List.iter
+      (fun x ->
+        same_bits (Printf.sprintf "%s layer %d" name l) (Matrix.tmv w x) (Affine.tmv affine l x))
+      inputs
+  done
+
+let test_zoo_conv_layers_sparse () =
+  List.iter
+    (fun (spec : Models.spec) ->
+      let net = spec.Models.build (Rng.create 5) in
+      Alcotest.(check bool) (spec.Models.name ^ " is a convnet") true (num_convs net > 0);
+      check_sparse_layers spec.Models.name net)
+    [ Models.cifar_base; Models.cifar_wide; Models.cifar_deep ]
+
+let test_onnx_conv_layers_sparse () =
+  let net = Models.cifar_deep.Models.build (Rng.create 6) in
+  let read = Onnx.of_bytes (Onnx.to_bytes net) in
+  Alcotest.(check int) "conv layers survive ONNX" (num_convs net) (num_convs read);
+  check_sparse_layers "cifar_deep via ONNX" read
+
+let test_mlp_layers_dense () =
+  check_sparse_layers "mlp" (Builder.mlp (Rng.create 7) ~dims:[ 12; 16; 16; 4 ])
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -332,5 +392,10 @@ let suite =
         Alcotest.test_case "conv roundtrip" `Quick test_serialize_roundtrip_conv;
         Alcotest.test_case "rejects garbage" `Quick test_serialize_rejects_garbage;
         Alcotest.test_case "file roundtrip" `Quick test_serialize_file_roundtrip
+      ] );
+    ( "nn.sparse",
+      [ Alcotest.test_case "zoo conv layers stored as CSR" `Quick test_zoo_conv_layers_sparse;
+        Alcotest.test_case "ONNX Conv layers stored as CSR" `Quick test_onnx_conv_layers_sparse;
+        Alcotest.test_case "MLP layers stay dense" `Quick test_mlp_layers_dense
       ] )
   ]

@@ -1,8 +1,10 @@
 (* Tests for Abonn_tensor: vector arithmetic and matrix kernels, including
-   qcheck algebraic properties (transpose involution, matmul-mv agreement). *)
+   qcheck algebraic properties (transpose involution, matmul-mv agreement),
+   and the CSR kernel's bit-for-bit agreement with the dense one. *)
 
 module Vector = Abonn_tensor.Vector
 module Matrix = Abonn_tensor.Matrix
+module Sparse = Abonn_tensor.Sparse
 module Rng = Abonn_util.Rng
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -176,6 +178,99 @@ let test_mat_approx_equal_nan () =
   Alcotest.(check bool) "matrix nan is not 0" false (Matrix.approx_equal a b);
   Alcotest.(check bool) "matrix nan equals itself" true (Matrix.approx_equal a (Matrix.copy a))
 
+(* --- Sparse (CSR) --- *)
+
+(* Bit patterns, so a signed zero or a last-bit difference fails. *)
+let same_bits name (expected : float array) (actual : float array) =
+  Alcotest.(check int) (name ^ ": length") (Array.length expected) (Array.length actual);
+  Array.iteri
+    (fun j e ->
+      if not (Int64.equal (Int64.bits_of_float e) (Int64.bits_of_float actual.(j))) then
+        Alcotest.failf "%s: output %d is %h, dense gives %h" name j actual.(j) e)
+    expected
+
+(* Entries are nonzero with probability [density]; zeros are signed at
+   random, whole rows are left empty at random, and a few entries are
+   tiny enough for their products to underflow to a signed zero. *)
+let random_sparse rng ~rows ~cols ~density =
+  let empty_row = Array.init rows (fun _ -> Rng.float rng 1.0 < 0.1) in
+  Matrix.init rows cols (fun i _ ->
+      if empty_row.(i) || Rng.float rng 1.0 >= density then
+        if Rng.float rng 1.0 < 0.5 then 0.0 else -0.0
+      else if Rng.float rng 1.0 < 0.05 then 1e-200 *. Rng.range rng (-1.0) 1.0
+      else Rng.range rng (-3.0) 3.0)
+
+let random_input rng n =
+  Array.init n (fun _ ->
+      let u = Rng.float rng 1.0 in
+      if u < 0.15 then 0.0
+      else if u < 0.3 then -0.0
+      else if u < 0.35 then 1e-200 *. Rng.range rng (-1.0) 1.0
+      else Rng.range rng (-5.0) 5.0)
+
+let nonzeros (m : Matrix.t) =
+  Array.fold_left (fun n v -> if v <> 0.0 then n + 1 else n) 0 m.Matrix.data
+
+let test_sparse_matches_dense () =
+  let rng = Rng.create 2024 in
+  let checked = ref 0 in
+  List.iter
+    (fun density ->
+      List.iter
+        (fun (rows, cols) ->
+          for _ = 1 to 5 do
+            let m = random_sparse rng ~rows ~cols ~density in
+            let nnz = nonzeros m in
+            match Sparse.of_dense m with
+            | None ->
+              Alcotest.(check bool)
+                (Printf.sprintf "dense at density %.2f (%d of %d nonzero)" density nnz
+                   (rows * cols))
+                true
+                (2 * nnz >= rows * cols)
+            | Some s ->
+              Alcotest.(check bool) "CSR only below half density" true (2 * nnz < rows * cols);
+              Alcotest.(check int) "stores every nonzero" nnz s.Sparse.row_start.(rows);
+              for _ = 1 to 4 do
+                let x = random_input rng rows in
+                same_bits
+                  (Printf.sprintf "%dx%d density %.2f" rows cols density)
+                  (Matrix.tmv m x) (Sparse.tmv s x)
+              done;
+              same_bits "zero input" (Matrix.tmv m (Array.make rows 0.0))
+                (Sparse.tmv s (Array.make rows 0.0));
+              same_bits "negative-zero input" (Matrix.tmv m (Array.make rows (-0.0)))
+                (Sparse.tmv s (Array.make rows (-0.0)));
+              incr checked
+          done)
+        [ (1, 1); (3, 7); (16, 9); (40, 64) ])
+    [ 0.0; 0.02; 0.1; 0.25; 0.4; 0.49; 0.5; 0.75; 1.0 ];
+  Alcotest.(check bool) "some matrices went through the CSR kernel" true (!checked >= 60)
+
+(* A hand-built case: an empty row, a row of signed zeros, an all-zero
+   column, and inputs whose products cancel exactly. *)
+let test_sparse_edge_cases () =
+  let m =
+    Matrix.of_rows
+      [| [| 0.0; 0.0; 0.0; 0.0 |];
+         [| -0.0; 2.0; -0.0; 0.0 |];
+         [| 1.5; -2.0; 0.0; 0.0 |];
+         [| 0.0; 0.0; 0.0; -0.0 |] |]
+  in
+  let s = Option.get (Sparse.of_dense m) in
+  Alcotest.(check int) "signed zeros are not stored" 3 s.Sparse.row_start.(4);
+  List.iter
+    (fun x -> same_bits "edge case" (Matrix.tmv m x) (Sparse.tmv s x))
+    [ [| 1.0; 1.0; 1.0; 1.0 |];
+      [| 0.0; -0.0; 0.0; -0.0 |];
+      [| 7.0; 1.0; -1.0; 3.0 |];
+      [| -1.0; 3.0; 3.0; 0.0 |];
+      [| 0.0; 1e-200; 1e-200; 0.0 |] ];
+  Alcotest.(check bool) "half nonzero stays dense" true
+    (Sparse.of_dense (Matrix.of_rows [| [| 1.0; 0.0 |] |]) = None);
+  Alcotest.check_raises "dimension checked" (Invalid_argument "Sparse.tmv: dimension mismatch")
+    (fun () -> ignore (Sparse.tmv s [| 1.0 |]))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -210,5 +305,10 @@ let suite =
         qtest prop_matmul_mv_agree;
         qtest prop_tmv_is_transpose_mv;
         qtest prop_matmul_associative
+      ] );
+    ( "tensor.sparse",
+      [ Alcotest.test_case "CSR tmv bit-identical to dense" `Quick test_sparse_matches_dense;
+        Alcotest.test_case "empty rows, signed zeros, cancellation" `Quick
+          test_sparse_edge_cases
       ] )
   ]
